@@ -59,7 +59,7 @@ ci: lint batch
 	REPRO_EXECUTOR=vectorized PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	PYTHONPATH=src $(PYTHON) -m repro runs selftest
 	PYTHONPATH=src $(PYTHON) -m repro faultcheck
-	PYTHONPATH=src $(PYTHON) -m repro fuzz --seed 7 --count 25 --profile small --crosscheck
+	PYTHONPATH=src $(PYTHON) -m repro fuzz --seed 7 --count 25 --profile small --crosscheck --json fuzz_report.json
 	$(PYTHON) scripts/resume_smoke.py
 	PYTHONPATH=src $(PYTHON) -m repro bench record --repeats 3 --out BENCH_ci.json
 	PYTHONPATH=src $(PYTHON) -m repro bench compare BENCH_2.json BENCH_ci.json --fail-on-regress 400

@@ -14,7 +14,7 @@ from repro.codegen import (
     generate_python_source,
 )
 from repro.fortranlib import FortranRuntime
-from repro.glafexec import run_generated_python, run_interpreted
+from repro.glafexec import get_executor, run_generated_python
 from repro.optimize import make_plan
 
 
@@ -73,7 +73,8 @@ def main():
     expected_mid = (src[:-2] + src[1:-1] + src[2:]) / 3.0
 
     dst1 = np.zeros(12)
-    _, ctx, _ = run_interpreted(program, "smooth", [12, src, dst1])
+    ctx = get_executor("interpreter").run(program, "smooth",
+                                          [12, src, dst1]).context
     dst2 = np.zeros(12)
     run_generated_python(program, "smooth", [12, src, dst2])
 

@@ -18,6 +18,7 @@ from .driver import (
     POISON_SCHEMA,
     BatchOptions,
     BatchResult,
+    probe_item,
     quarantine_bundle_name,
     run_batch,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "compile_item",
     "ingest_corpus",
     "load_manifest",
+    "probe_item",
     "quarantine_bundle_name",
     "run_batch",
     "run_item",

@@ -30,8 +30,12 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..errors import BatchError
+
+if TYPE_CHECKING:
+    from ..fuzz import FuzzProfile
 
 __all__ = ["CorpusItem", "ingest_corpus", "SOURCE_SUFFIXES",
            "POISON_KINDS"]
@@ -109,7 +113,7 @@ def _from_dir(path: Path, taken: set[str]) -> list[CorpusItem]:
     return items
 
 
-def _from_fuzz_spec(spec: str, profile: str, taken: set[str]
+def _from_fuzz_spec(spec: str, profile: str | FuzzProfile, taken: set[str]
                     ) -> list[CorpusItem]:
     from ..fuzz import generate_spec
 
@@ -166,7 +170,8 @@ def _from_poison_spec(spec: str, taken: set[str]) -> list[CorpusItem]:
 
 
 def ingest_corpus(inputs: list[str] | tuple[str, ...], *,
-                  fuzz_profile: str = "small") -> list[CorpusItem]:
+                  fuzz_profile: str | FuzzProfile = "small"
+                  ) -> list[CorpusItem]:
     """Resolve CLI inputs into a deterministic, de-duplicated corpus.
 
     Each input is a project/FORTRAN file, a directory of them (recursed
@@ -174,7 +179,8 @@ def ingest_corpus(inputs: list[str] | tuple[str, ...], *,
     ``poison:KIND[:N]`` fault directive.  Item ids are filename-safe
     (checkpoint keys) and unique across the whole corpus; input order is
     preserved so two invocations with the same arguments produce the
-    same corpus, in the same order, byte for byte.
+    same corpus, in the same order, byte for byte.  ``fuzz_profile`` is
+    a registered profile name or a :class:`repro.fuzz.FuzzProfile`.
     """
     if not inputs:
         raise BatchError("empty corpus: give files, directories, "

@@ -32,6 +32,11 @@ serial in-process execution of the same compile path (poison faults are
 then *simulated* with identical death records, since really crashing
 would take the parent down); serial and parallel runs produce
 digest-identical manifests.  See ``docs/BATCH.md``.
+
+:attr:`BatchOptions.checks` adds per-item checks to ``fuzz`` items (the
+``repro fuzz`` differential oracle); :func:`probe_item` is the same
+compile+check, in-process, for callers that need one item's failures
+without a campaign around it (the fuzz shrinker's probe).
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..errors import (
     BatchError,
@@ -65,9 +71,12 @@ from .worker import (
     worker_entry,
 )
 
+if TYPE_CHECKING:
+    from ..fuzz.oracle import FuzzChecks
+
 __all__ = ["POISON_SCHEMA", "DEFAULT_CHECKPOINT_DIR",
            "DEFAULT_QUARANTINE_DIR", "DEFAULT_CACHE_DIR",
-           "BatchOptions", "BatchResult", "run_batch",
+           "BatchOptions", "BatchResult", "run_batch", "probe_item",
            "quarantine_bundle_name"]
 
 POISON_SCHEMA = "repro.batch.poison/v1"
@@ -96,6 +105,7 @@ class BatchOptions:
     resume: bool = False
     quarantine_dir: str = DEFAULT_QUARANTINE_DIR
     retry_base_delay: float = 0.05
+    checks: FuzzChecks | None = None  # fuzz-item checks (``repro fuzz``)
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -115,13 +125,18 @@ class BatchOptions:
 
     def worker_config(self) -> WorkerConfig:
         return WorkerConfig(variant=self.variant, target=self.target,
-                            limits=self.limits())
+                            limits=self.limits(), checks=self.checks)
 
     def pipeline_options(self) -> dict:
         """The options half of the cache address: everything that can
-        change what the pipeline *emits* for a given source."""
-        return {"variant": self.variant, "target": self.target,
-                "fuzz_profile": self.fuzz_profile}
+        change what the pipeline *emits* for a given source.  A plain
+        batch has no ``checks`` key, so its cache keys and manifest
+        digests do not depend on whether checks exist at all."""
+        options = {"variant": self.variant, "target": self.target,
+                   "fuzz_profile": self.fuzz_profile}
+        if self.checks is not None:
+            options["checks"] = self.checks.to_json()
+        return options
 
     def manifest_options(self) -> dict:
         """The digested manifest options: the pipeline options plus the
@@ -347,9 +362,9 @@ def _failure_doc(exc: GlafError) -> dict:
     return doc
 
 
-def _outcome_from_artifacts(item: CorpusItem, artifacts: dict, *,
-                            cached: bool, attempts: int,
-                            deaths: list[dict]) -> ItemOutcome:
+def _artifact_failures(artifacts: dict) -> list[dict]:
+    """The failure docs a compiled item carries: lint findings, then
+    whatever its checks reported."""
     failures = []
     for f in artifacts.get("lint", {}).get("findings", ()):
         failures.append({
@@ -359,13 +374,36 @@ def _outcome_from_artifacts(item: CorpusItem, artifacts: dict, *,
             "message": (f"{f.get('unit', '?')}:{f.get('line', 0)}: "
                         f"{f.get('message', '')}"),
         })
+    failures.extend(artifacts.get("checks", {}).get("failures", ()))
+    return failures
+
+
+def _outcome_from_artifacts(item: CorpusItem, artifacts: dict, *,
+                            cached: bool, attempts: int,
+                            deaths: list[dict]) -> ItemOutcome:
+    failures = _artifact_failures(artifacts)
     return ItemOutcome(
         id=item.id, kind=item.kind,
         status="failed" if failures else "ok",
         content_sha=item.content_sha,
         artifact_sha=content_digest(artifacts),
         failures=failures, deaths=list(deaths),
-        attempts=attempts, cached=cached)
+        attempts=attempts, cached=cached,
+        checks=dict(artifacts.get("checks", {}).get("counts", {})))
+
+
+def probe_item(item: CorpusItem, config: WorkerConfig
+               ) -> tuple[dict | None, list[dict]]:
+    """Compile and check one item in-process, outside any campaign.
+
+    Returns its artifacts (``None`` when the pipeline raised a typed
+    error) and the failure docs its batch outcome would carry.
+    """
+    try:
+        artifacts = run_item(item, config)
+    except GlafError as e:
+        return None, [_failure_doc(e)]
+    return artifacts, _artifact_failures(artifacts)
 
 
 class _Stats:

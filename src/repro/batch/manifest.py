@@ -53,11 +53,13 @@ class ItemOutcome:
     attempts: int = 1
     cached: bool = False
     resumed: bool = False
+    checks: dict = field(default_factory=dict)  # item-check counts
 
     def core(self) -> dict:
         """The digested projection: everything an interruption, a cache
-        hit, or a retry count cannot change."""
-        return {
+        hit, or a retry count cannot change.  ``checks`` appears only
+        when the item ran checks, so plain batch digests ignore it."""
+        doc = {
             "id": self.id,
             "kind": self.kind,
             "status": self.status,
@@ -67,6 +69,9 @@ class ItemOutcome:
             "deaths": list(self.deaths),
             "bundle": self.bundle,
         }
+        if self.checks:
+            doc["checks"] = dict(self.checks)
+        return doc
 
     def to_json(self) -> dict:
         doc = self.core()
@@ -90,6 +95,7 @@ class ItemOutcome:
             attempts=int(doc.get("attempts", 1)),
             cached=bool(doc.get("cached", False)),
             resumed=bool(doc.get("resumed", False)),
+            checks=dict(doc.get("checks", {})),
         )
 
 

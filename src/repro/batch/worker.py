@@ -14,6 +14,13 @@ The same compile path runs in-process for ``--jobs 1`` / degraded-serial
 batches via :func:`run_item`, so serial and parallel runs produce
 digest-identical artifacts.
 
+With :attr:`WorkerConfig.checks` set (``repro fuzz`` sets a
+:class:`repro.fuzz.FuzzChecks`), a ``fuzz`` item also runs those checks
+after lint — the differential oracle, optionally the static-bounds
+crosscheck — inside the same envelope, under the checks' fault plan and
+numeric sentinels.  Their counts and failures land in the artifacts'
+``checks`` section.
+
 ``poison`` items exercise the isolation envelope on purpose:
 
 * ``crash`` — ``os._exit(66)`` without reporting;
@@ -29,9 +36,13 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..errors import BatchError, GlafError, ResourceLimitError
 from ..robust.watchdog import Budget, ResourceLimits, apply_memory_limit
+
+if TYPE_CHECKING:
+    from ..fuzz.oracle import FuzzChecks
 
 __all__ = ["ARTIFACT_SCHEMA", "POISON_CRASH_EXIT", "POISON_OOM_EXIT",
            "WorkerConfig", "compile_item", "run_item", "worker_entry",
@@ -62,6 +73,8 @@ class WorkerConfig:
     variant: str = "GLAF-parallel v0"
     target: str = "fortran"
     limits: ResourceLimits = ResourceLimits()
+    #: Checks a ``fuzz`` item runs after lint; ``None`` for a plain batch.
+    checks: FuzzChecks | None = None
 
 
 def _run_poison(kind: str, item_id: str, limits: ResourceLimits) -> None:
@@ -118,6 +131,9 @@ def compile_item(item, config: WorkerConfig) -> dict:
             raise AssertionError("unreachable")  # pragma: no cover
         if item.kind == "source":
             return _compile_source(item, budget)
+        if item.kind == "fuzz" and config.checks is not None:
+            with config.checks.armed():
+                return _compile_program(item, config, budget)
         return _compile_program(item, config, budget)
     except GlafError as e:
         if not getattr(e, "batch_stage", ""):
@@ -226,10 +242,14 @@ def _compile_program(item, config: WorkerConfig, budget: Budget) -> dict:
         else:
             report_json = _empty_lint()
         budget.check_time()
+        checks = None
+        if item.kind == "fuzz" and config.checks is not None:
+            stage = "check"
+            checks = config.checks.run(program, spec, code)
     except GlafError as e:
         e.batch_stage = getattr(e, "batch_stage", "") or stage
         raise
-    return {
+    artifacts = {
         "schema": ARTIFACT_SCHEMA,
         "target": config.target,
         "code": code,
@@ -238,6 +258,9 @@ def _compile_program(item, config: WorkerConfig, budget: Budget) -> dict:
         "lint": report_json,
         "ranges": {},
     }
+    if checks is not None:
+        artifacts["checks"] = checks
+    return artifacts
 
 
 def run_item(item, config: WorkerConfig) -> dict:

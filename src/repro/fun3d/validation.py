@@ -17,8 +17,6 @@ from ..glafexec import (
     ExecutionContext,
     GeneratedModule,
     GuardedRunner,
-    Interpreter,
-    executor_mode,
     get_executor,
     guard_mode,
 )
@@ -71,14 +69,8 @@ def run_ir_interpreter(mesh: TetMesh, *, save_inner_arrays: bool = False,
     if guard_mode() if guarded is None else guarded:
         GuardedRunner(program).run("edgejp", args, context=ctx)
     else:
-        mode = executor_mode() if executor is None else executor
-        if mode == "interpreter":
-            interp = Interpreter(program, ctx,
-                                 save_inner_arrays=save_inner_arrays)
-            interp.call("edgejp", args)
-        else:
-            get_executor(mode, save_inner_arrays=save_inner_arrays).run(
-                program, "edgejp", args, context=ctx)
+        get_executor(executor, save_inner_arrays=save_inner_arrays).run(
+            program, "edgejp", args, context=ctx)
     return ctx.get("jac").copy()
 
 

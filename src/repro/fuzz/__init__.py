@@ -3,10 +3,11 @@
 Turns "works on two case studies" into "works on arbitrary legacy
 FORTRAN": :func:`generate_codebase` renders seeded, reproducible GLAF
 codebases mixing every construct the pipeline claims to handle;
-:func:`run_campaign` drives them end-to-end under per-item budgets with
-a differential interpreter-vs-vectorized oracle, bucketing failures by
-signature, quarantining digest-named reproducer bundles, and delta-debug
-minimizing each new failure (``repro fuzz`` on the command line).  The
+:func:`run_campaign` compiles them through the batch driver with a
+differential interpreter-vs-vectorized oracle as the item checks
+(:class:`FuzzChecks`), bucketing failures by signature, quarantining
+digest-named reproducer bundles, and delta-debug minimizing each new
+failure (``repro fuzz`` on the command line).  The
 :mod:`~repro.fuzz.vocab` module is the shared mutation vocabulary the
 parser property tests draw from.
 """
@@ -27,17 +28,16 @@ from .profile import (
     FuzzProfile,
     get_profile,
 )
+from .oracle import FuzzChecks
 from .runner import (
     DEFAULT_CHECKPOINT_DIR,
     DEFAULT_QUARANTINE_DIR,
     SUMMARY_SCHEMA,
     CampaignSummary,
-    ItemResult,
     run_campaign,
-    run_item,
 )
 from .shrink import ShrinkResult, shrink_spec
-from .triage import BUNDLE_SCHEMA, FailureSignature, ItemFailure, Triage
+from .triage import BUNDLE_SCHEMA, FailureSignature, Triage
 from .vocab import (
     MUTATION_KINDS,
     NOISE_ALPHABET,
@@ -53,11 +53,11 @@ __all__ = [
     # generate
     "StepSpec", "UnitSpec", "CodebaseSpec", "FuzzCodebase",
     "generate_spec", "build_program", "generate_codebase",
-    # runner
-    "ItemResult", "CampaignSummary", "run_item", "run_campaign",
+    # oracle / runner
+    "FuzzChecks", "CampaignSummary", "run_campaign",
     "SUMMARY_SCHEMA", "DEFAULT_CHECKPOINT_DIR", "DEFAULT_QUARANTINE_DIR",
     # triage / shrink
-    "FailureSignature", "ItemFailure", "Triage", "BUNDLE_SCHEMA",
+    "FailureSignature", "Triage", "BUNDLE_SCHEMA",
     "ShrinkResult", "shrink_spec",
     # vocab
     "NOISE_ALPHABET", "MUTATION_KINDS", "parser_corpus", "apply_mutation",

@@ -1,6 +1,7 @@
 """Failure triage: signatures, buckets, and quarantined reproducers.
 
-Every failure the differential runner observes is reduced to a
+Every failure doc a fuzz campaign's batch outcomes carry
+(``stage``/``error``/``rule``, docs/BATCH.md) is reduced to a
 :class:`FailureSignature` — ``stage × exception type × rule`` — and
 bucketed by its deduplicated key.  The first time a signature appears in
 a campaign it is quarantined: a digest-named reproducer bundle (spec +
@@ -20,7 +21,7 @@ from ..numeric import atomic_write_json, content_digest
 from .generate import CodebaseSpec
 from .profile import FuzzProfile
 
-__all__ = ["FailureSignature", "ItemFailure", "Triage", "BUNDLE_SCHEMA"]
+__all__ = ["FailureSignature", "Triage", "BUNDLE_SCHEMA"]
 
 BUNDLE_SCHEMA = "repro.fuzz.reproducer/v1"
 
@@ -29,7 +30,7 @@ BUNDLE_SCHEMA = "repro.fuzz.reproducer/v1"
 class FailureSignature:
     """The deduplication key of one pipeline failure."""
 
-    stage: str          # generate|analyze|codegen|parse|lint|execute|oracle
+    stage: str          # build|analyze|codegen|parse|lint|execute|oracle|…
     exc_type: str       # exception class, or LintFinding/OracleDivergence
     rule: str = ""      # lint rule id / tolerance policy / refusal class
 
@@ -47,25 +48,11 @@ class FailureSignature:
         return cls(stage=doc["stage"], exc_type=doc["exc_type"],
                    rule=doc.get("rule", ""))
 
-
-@dataclass(frozen=True)
-class ItemFailure:
-    """One observed failure, with enough context to reproduce it."""
-
-    signature: FailureSignature
-    detail: str
-    unit: str = ""                       # kernel the failure surfaced in
-    diagnostics: tuple[str, ...] = ()    # rendered DiagnosticBundle lines
-
-    def to_json(self) -> dict[str, object]:
-        return {"signature": self.signature.to_json(), "detail": self.detail,
-                "unit": self.unit, "diagnostics": list(self.diagnostics)}
-
     @classmethod
-    def from_json(cls, doc: dict) -> "ItemFailure":
-        return cls(signature=FailureSignature.from_json(doc["signature"]),
-                   detail=doc["detail"], unit=doc.get("unit", ""),
-                   diagnostics=tuple(doc.get("diagnostics", ())))
+    def from_failure(cls, doc: dict) -> "FailureSignature":
+        """The signature of one batch failure doc."""
+        return cls(stage=doc["stage"], exc_type=doc["error"],
+                   rule=doc.get("rule", ""))
 
 
 @dataclass
@@ -111,7 +98,7 @@ class Triage:
     def quarantine(
         self,
         sig: FailureSignature,
-        failure: ItemFailure,
+        failure: dict,
         spec: CodebaseSpec,
         profile: FuzzProfile,
         source: str,
@@ -121,7 +108,10 @@ class Triage:
         minimized_source: str = "",
         shrink_probes: int = 0,
     ) -> Path:
-        """Write the reproducer bundle atomically; returns its path."""
+        """Write the reproducer bundle atomically; returns its path.
+
+        ``failure`` is the batch failure doc that carried ``sig``.
+        """
         name = self.bundle_name(sig, spec, faults)
         path = self.quarantine_dir / name
         self.quarantine_dir.mkdir(parents=True, exist_ok=True)
@@ -134,7 +124,12 @@ class Triage:
             "index": spec.index,
             "profile": profile.to_json(),
             "faults": list(faults),
-            "failure": failure.to_json(),
+            "failure": {
+                "signature": sig.to_json(),
+                "detail": failure.get("message", ""),
+                "unit": failure.get("unit", ""),
+                "diagnostics": list(failure.get("diagnostics", ())),
+            },
             "spec": spec.to_json(),
             "source": source,
             "minimized": {
@@ -157,5 +152,6 @@ class Triage:
         dl = get_decisions()
         if dl.enabled:
             dl.record("fuzz:quarantine", "campaign", spec.index, sig.key,
-                      "written", reasons=(failure.detail,), bundle=name)
+                      "written", reasons=(failure.get("message", ""),),
+                      bundle=name)
         return path

@@ -28,7 +28,7 @@ from .guard import (
     set_guard_mode,
 )
 from .interp import ExecStats, Interpreter
-from .runner import GeneratedModule, run_generated_python, run_interpreted
+from .runner import GeneratedModule, run_generated_python
 from .shuffle import (
     ParallelValidation,
     ShuffledInterpreter,
@@ -46,7 +46,7 @@ from .vectorize import (
 __all__ = [
     "ExecutionContext", "as_storage",
     "ExecStats", "Interpreter",
-    "GeneratedModule", "run_generated_python", "run_interpreted",
+    "GeneratedModule", "run_generated_python",
     "ParallelValidation", "ShuffledInterpreter", "validate_parallel_semantics",
     "GuardEvent", "GuardedInterpreter", "GuardedRun", "GuardedRunner",
     "PythonGuardResult", "VectorizedGuardResult", "guard_mode", "guarded",

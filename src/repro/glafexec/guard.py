@@ -284,10 +284,12 @@ def guarded_python_run(
     interpreter's result and records a ``guard:serial-fallback`` decision.
     """
     from ..observe import get_decisions
-    from .runner import run_generated_python, run_interpreted
+    from .executor import get_executor
+    from .runner import run_generated_python
 
-    ref_result, ref_ctx, _ = run_interpreted(
+    ref_run = get_executor("interpreter").run(
         program, entry, args, sizes=sizes, values=values)
+    ref_result, ref_ctx = ref_run.result, ref_run.context
     ref = ref_ctx.snapshot(compare)
 
     def fallback(reason: str, err: float | None = None) -> PythonGuardResult:

@@ -1,10 +1,10 @@
-"""Convenience runners: execute kernels via the IR interpreter or via
-GLAF-generated Python, from one call.
+"""Convenience runner: execute kernels via GLAF-generated Python.
 
 ``run_generated_python`` compiles the Python source emitted by
 :mod:`repro.codegen.python_gen` and executes the requested entry point with
-a ``Globals`` object mirroring an :class:`ExecutionContext`, so the two
-execution paths can be compared element-for-element in tests.
+a ``Globals`` object mirroring an :class:`ExecutionContext`, so it can be
+compared element-for-element with the IR interpreter
+(``get_executor("interpreter").run(...)``, :mod:`repro.glafexec.executor`).
 """
 
 from __future__ import annotations
@@ -19,30 +19,8 @@ from ..errors import CodegenError, ExecutionError
 from ..optimize.plan import OptimizationPlan, make_plan
 from ..robust import ResourceLimits, wall_clock_guard
 from .context import ExecutionContext
-from .interp import Interpreter
 
-__all__ = ["run_interpreted", "run_generated_python", "GeneratedModule"]
-
-
-def run_interpreted(
-    program: GlafProgram,
-    entry: str,
-    args: list[Any] | tuple = (),
-    *,
-    sizes: dict[str, int] | None = None,
-    values: dict[str, Any] | None = None,
-    save_inner_arrays: bool = False,
-    limits: ResourceLimits | None = None,
-) -> tuple[Any, ExecutionContext, Interpreter]:
-    """Run ``entry`` through the IR interpreter on a fresh context."""
-    from ..observe import get_tracer
-
-    with get_tracer().span("exec.run.interp", entry=entry, program=program.name):
-        ctx = ExecutionContext(program, sizes=sizes, values=values)
-        interp = Interpreter(program, ctx, save_inner_arrays=save_inner_arrays,
-                             limits=limits)
-        result = interp.call(entry, list(args))
-        return result, ctx, interp
+__all__ = ["run_generated_python", "GeneratedModule"]
 
 
 class GeneratedModule:

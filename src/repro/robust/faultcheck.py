@@ -209,7 +209,7 @@ def _check_codegen(seed: int) -> SiteResult:
 
 
 def _check_watchdog(seed: int) -> SiteResult:
-    from ..glafexec import run_interpreted
+    from ..glafexec import get_executor
     from .scenarios import scenario_for
 
     site, kind = "exec.interp.iter", "delay"
@@ -220,8 +220,8 @@ def _check_watchdog(seed: int) -> SiteResult:
     limits = ResourceLimits(max_wall_seconds=0.05)
     try:
         with fault_injection(plan):
-            run_interpreted(program, scenario.entry, args,
-                            sizes=sizes, values=values, limits=limits)
+            get_executor("interpreter", limits=limits).run(
+                program, scenario.entry, args, sizes=sizes, values=values)
         return SiteResult(site, kind, "failed",
                           "stalled run finished under its wall-clock limit",
                           len(plan.fired), 0)
@@ -270,7 +270,7 @@ def _check_sentinel(seed: int) -> SiteResult:
 
     from ..bench.harness import Experiment, ExperimentResult
     from ..bench.record import record_benchmark
-    from ..glafexec import run_interpreted
+    from ..glafexec import get_executor
     from ..numeric import CheckpointStore, content_digest, sentinels
     from ..observe import observed
     from .scenarios import scenario_for
@@ -284,8 +284,8 @@ def _check_sentinel(seed: int) -> SiteResult:
     trip: NumericIntegrityError | None = None
     with observed() as obs, fault_injection(plan), sentinels():
         try:
-            run_interpreted(program, scenario.entry, args,
-                            sizes=sizes, values=values)
+            get_executor("interpreter").run(
+                program, scenario.entry, args, sizes=sizes, values=values)
         except NumericIntegrityError as e:
             trip = e
     if not plan.fired:

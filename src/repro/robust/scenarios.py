@@ -61,12 +61,12 @@ class ExecScenario:
 
     def reference(self) -> dict[str, np.ndarray]:
         """Plain-interpreter output snapshot of the compare grids."""
-        from ..glafexec import run_interpreted
+        from ..glafexec import get_executor
 
         program, args, sizes, values, compare = self.setup()
-        _, ctx, _ = run_interpreted(program, self.entry, args,
-                                    sizes=sizes, values=values)
-        return ctx.snapshot(list(compare))
+        run = get_executor("interpreter").run(program, self.entry, args,
+                                              sizes=sizes, values=values)
+        return run.context.snapshot(list(compare))
 
 
 def _sarb_setup() -> tuple:

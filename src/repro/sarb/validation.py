@@ -25,8 +25,6 @@ from ..glafexec import (
     ExecutionContext,
     GeneratedModule,
     GuardedRunner,
-    Interpreter,
-    executor_mode,
     get_executor,
     guard_mode,
 )
@@ -152,11 +150,7 @@ def run_ir_interpreter(inp: AtmosphereInputs, *, guarded: bool | None = None,
     if guard_mode() if guarded is None else guarded:
         GuardedRunner(program).run("entropy_interface", args, context=ctx)
     else:
-        mode = executor_mode() if executor is None else executor
-        if mode == "interpreter":
-            Interpreter(program, ctx).call("entropy_interface", args)
-        else:
-            get_executor(mode).run(program, "entropy_interface", args,
+        get_executor(executor).run(program, "entropy_interface", args,
                                    context=ctx)
     return {n: ctx.get(n).copy() for n in OUTPUT_NAMES}
 

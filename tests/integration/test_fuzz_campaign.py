@@ -8,7 +8,10 @@ Three acceptance properties of ``repro fuzz``:
   report digest-equal to an uninterrupted run;
 * a seeded known-bad injection (a mis-parallelization fault) is caught
   by the differential/lint oracles, bucketed, minimized to a
-  reproducer of at most 20 SLOC, and quarantined — never crashed over.
+  reproducer of at most 20 SLOC, and quarantined — never crashed over;
+* the campaign's checks and fault plan ride the batch worker config,
+  so the same checked batch digests identically in-process and in
+  forkserver workers.
 """
 
 import json
@@ -22,7 +25,8 @@ from pathlib import Path
 import pytest
 
 from repro import observe
-from repro.fuzz import run_campaign
+from repro.batch import BatchOptions, ingest_corpus, run_batch
+from repro.fuzz import FuzzChecks, get_profile, run_campaign
 from repro.robust import FaultSpec
 
 REPO = Path(__file__).resolve().parents[2]
@@ -62,6 +66,13 @@ class TestDeterminism:
 
         recorded = doc.pop("content_sha256")
         assert content_digest(doc) == recorded
+
+
+    def test_empty_campaign_is_clean(self, tmp_path):
+        r = _cli(_campaign_args("report.json", 0), tmp_path)
+        assert r.returncode == 0, r.stderr
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["stats"]["clean"] == 0 and doc["items"] == []
 
 
 class TestCrashResume:
@@ -149,3 +160,28 @@ class TestKnownBadInjection:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["stats"]["failed"] > 0
         assert doc["quarantined"]
+
+
+class TestChecksInWorkers:
+    def test_checked_batch_is_digest_equal_serial_and_parallel(
+            self, tmp_path):
+        checks = FuzzChecks(get_profile("small"), faults=(FaultSpec.parse(
+            "analysis.parallelize.verdict:misparallelize"),))
+        items = ingest_corpus(["fuzz:7:6"])
+        results = {}
+        for jobs in (1, 2):
+            base = tmp_path / f"jobs{jobs}"
+            results[jobs] = run_batch(items, BatchOptions(
+                jobs=jobs, cache_dir=None, checks=checks,
+                checkpoint_dir=str(base / "ckpt"),
+                quarantine_dir=str(base / "quarantine")))
+        serial, parallel = results[1], results[2]
+        assert parallel.stats["mode"] == "parallel"
+        assert (serial.manifest["content_sha256"]
+                == parallel.manifest["content_sha256"])
+        # the fault fired inside the workers and the oracle ran there
+        rules = {f.get("rule") for o in parallel.outcomes
+                 for f in o.failures}
+        assert "race-shared-write" in rules
+        assert all(o.checks["units_run"] > 0 for o in parallel.outcomes)
+        assert "checks" in parallel.manifest["options"]

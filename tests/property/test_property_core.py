@@ -110,7 +110,7 @@ class TestInterpreterAgainstPython:
     def test_ir_interpreter_matches_python_eval(self, e, i, j, k):
         """Build a 1-iteration triple nest evaluating `e` into a scalar and
         compare the IR interpreter's result with direct evaluation."""
-        from repro.glafexec import run_interpreted
+        from repro.glafexec import get_executor
 
         b = GlafBuilder("prop")
         m = b.module("M")
@@ -121,5 +121,5 @@ class TestInterpreterAgainstPython:
         s.formula(ref("out"), e)
         f.returns(ref("out"))
         program = b.build()
-        result, _, _ = run_interpreted(program, "f", [])
+        result = get_executor("interpreter").run(program, "f", []).result
         assert int(result) == _eval_py(e, {"i": i, "j": j, "k": k})

@@ -177,11 +177,12 @@ END SUBROUTINE set_{name}
     def test_interpreter_and_generated_python_agree(self, program):
         import numpy as np
 
-        from repro.glafexec import run_generated_python, run_interpreted
+        from repro.glafexec import get_executor, run_generated_python
 
         entry = next(iter(program.functions())).name
         a1 = np.linspace(-2.0, 2.0, 6)
         a2 = a1.copy()
-        run_interpreted(program, entry, [6, a1], sizes={"n": 6})
+        get_executor("interpreter").run(program, entry, [6, a1],
+                                        sizes={"n": 6})
         run_generated_python(program, entry, [6, a2], sizes={"n": 6})
         assert np.array_equal(a1, a2)

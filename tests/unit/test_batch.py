@@ -55,6 +55,32 @@ def fast_options(tmp_path, **kw):
     return BatchOptions(**base)
 
 
+class TestOptions:
+    def test_plain_batch_options_carry_no_checks_key(self):
+        """No checks ⇒ the same option documents as before checks
+        existed, so plain cache keys and manifest digests are unchanged."""
+        opts = BatchOptions()
+        assert opts.pipeline_options() == {
+            "variant": "GLAF-parallel v0", "target": "fortran",
+            "fuzz_profile": "small"}
+        assert opts.manifest_options() == {
+            "variant": "GLAF-parallel v0", "target": "fortran",
+            "fuzz_profile": "small", "retries": 1, "timeout": 60.0,
+            "seed": 0, "max_loop_iterations": 2_000_000,
+            "max_wall_seconds": 30.0, "max_memory_mb": 2048}
+        assert opts.worker_config().checks is None
+
+    def test_checks_join_the_pipeline_options(self):
+        from repro.fuzz import FuzzChecks, get_profile
+
+        checks = FuzzChecks(get_profile("small"), crosscheck=True)
+        opts = BatchOptions(checks=checks)
+        assert opts.pipeline_options()["checks"] == checks.to_json()
+        assert opts.worker_config().checks is checks
+        assert pickle.loads(pickle.dumps(opts.worker_config())) == \
+            opts.worker_config()
+
+
 # ---------------------------------------------------------------------------
 # corpus ingestion
 

@@ -69,7 +69,7 @@ class TestEarlyExitModelling:
 
 class TestWholeArrayCallArguments:
     def test_array_passed_through_two_levels(self):
-        from repro.glafexec import run_interpreted
+        from repro.glafexec import get_executor
 
         b = GlafBuilder("wa")
         m = b.module("M")
@@ -85,11 +85,12 @@ class TestWholeArrayCallArguments:
         outer.step().call("fill", [ref("n"), ref("out")])
         program = b.build()
         out = np.zeros(5)
-        run_interpreted(program, "driver", [5, out], sizes={"n": 5})
+        get_executor("interpreter").run(program, "driver", [5, out],
+                                        sizes={"n": 5})
         assert np.array_equal(out, [1.0, 2.0, 3.0, 4.0, 5.0])
 
     def test_sum_of_passed_array_in_callee(self):
-        from repro.glafexec import run_interpreted
+        from repro.glafexec import get_executor
 
         b = GlafBuilder("wa2")
         m = b.module("M")
@@ -104,10 +105,10 @@ class TestWholeArrayCallArguments:
 
         h.returns(FuncCall("total", (ref("n"), ref("v"))) * 2.0)
         program = b.build()
-        r, _, _ = run_interpreted(program, "doubled_total",
-                                  [3, np.array([1.0, 2.0, 3.0])],
-                                  sizes={"n": 3})
-        assert r == 12.0
+        run = get_executor("interpreter").run(
+            program, "doubled_total", [3, np.array([1.0, 2.0, 3.0])],
+            sizes={"n": 3})
+        assert run.result == 12.0
 
 
 class TestDeterminism:

@@ -100,7 +100,7 @@ class TestCrosscheck:
     """The fuzzer as a soundness oracle for the static bounds checker."""
 
     def test_static_claims_classify_a_literal_kernel(self):
-        from repro.fuzz.runner import _static_bounds_claims
+        from repro.fuzz.oracle import _static_bounds_claims
 
         src = """\
 subroutine k1(a)
@@ -116,22 +116,29 @@ end subroutine k1
         assert claim.proven > 0
 
     def test_run_item_crosscheck_refutes_nothing_on_clean_corpus(self):
-        from repro.fuzz.runner import run_item
+        """The batch worker's fuzz checks, crosscheck on, on one item."""
+        from repro.batch import WorkerConfig, ingest_corpus, run_item
+        from repro.fuzz import FuzzChecks
 
-        sp = generate_spec(7, "small", index=0)
-        res = run_item(sp, "small", crosscheck=True)
-        assert res.claims_refuted == 0
-        assert not any(f.signature.stage == "crosscheck"
-                       for f in res.failures)
-        doc = res.to_json()
-        assert doc["claims_proven"] == res.claims_proven
-        assert doc["claims_refuted"] == 0
+        item = ingest_corpus(["fuzz:7:1"], fuzz_profile="small")[0]
+        checks = FuzzChecks(get_profile("small"), crosscheck=True)
+        arts = run_item(item, WorkerConfig(checks=checks))
+        counts = arts["checks"]["counts"]
+        assert counts["claims_refuted"] == 0
+        assert counts["units_run"] == len(generate_spec(7, "small").units)
+        assert not any(f["stage"] == "crosscheck"
+                       for f in arts["checks"]["failures"])
 
     def test_item_result_claims_round_trip(self):
-        from repro.fuzz.runner import ItemResult
+        """Claim counts survive a batch outcome's checkpoint round trip
+        and are part of its digested core."""
+        from repro.batch import ItemOutcome
 
-        sp = generate_spec(7, "small", index=1)
-        res = ItemResult(index=1, spec=sp, claims_proven=3,
-                         claims_refuted=1)
-        back = ItemResult.from_json(res.to_json())
-        assert back.claims_proven == 3 and back.claims_refuted == 1
+        out = ItemOutcome(id="fuzz-7-0001", kind="fuzz", status="ok",
+                          content_sha="0" * 64,
+                          checks={"claims_proven": 3, "claims_refuted": 1})
+        back = ItemOutcome.from_json(out.to_json())
+        assert back.checks == {"claims_proven": 3, "claims_refuted": 1}
+        assert back.core() == out.core()
+        assert "checks" not in ItemOutcome(
+            id="x", kind="fuzz", status="ok", content_sha="0").core()

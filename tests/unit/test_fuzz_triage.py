@@ -15,7 +15,6 @@ from repro.fuzz import (
     BUNDLE_SCHEMA,
     CodebaseSpec,
     FailureSignature,
-    ItemFailure,
     StepSpec,
     Triage,
     UnitSpec,
@@ -47,6 +46,14 @@ class TestSignatures:
     def test_json_round_trip(self):
         assert FailureSignature.from_json(SIG.to_json()) == SIG
 
+    def test_from_batch_failure_doc(self):
+        doc = {"stage": "lint", "error": "LintFinding",
+               "rule": "race-shared-write", "message": "k1:3: shared"}
+        assert FailureSignature.from_failure(doc) == SIG
+        assert FailureSignature.from_failure(
+            {"stage": "parse", "error": "DiagnosticBundle",
+             "message": "x"}).key == "parse:DiagnosticBundle"
+
 
 class TestBuckets:
     def test_first_occurrence_is_new_then_duplicates_count(self, tmp_path):
@@ -75,7 +82,9 @@ class TestQuarantine:
 
     def test_bundle_document_shape(self, tmp_path):
         tri = Triage(tmp_path)
-        failure = ItemFailure(SIG, "shared write y", unit="k1")
+        failure = {"stage": "lint", "error": "LintFinding",
+                   "rule": "race-shared-write",
+                   "message": "shared write y", "unit": "k1"}
         src = "SUBROUTINE k1(n)\n! comment\n\nEND SUBROUTINE k1\n"
         path = tri.quarantine(SIG, failure, _spec(), get_profile("small"),
                               src, minimized_source=src, shrink_probes=3)

@@ -6,7 +6,7 @@ import pytest
 from repro.core import GlafBuilder, I, T_INT, T_LOGICAL, T_REAL8, T_VOID, lib, ref
 from repro.core.builder import StepBuilder as SB
 from repro.errors import ExecutionError
-from repro.glafexec import ExecutionContext, Interpreter, run_interpreted
+from repro.glafexec import ExecutionContext, Interpreter, get_executor
 
 
 def _program():
@@ -96,25 +96,29 @@ class TestInterpreter:
     def test_axpy(self):
         p = _program()
         y = np.ones(4)
-        run_interpreted(p, "axpy", [4, 2.0, np.arange(4.0), y], sizes={"n": 4})
+        get_executor("interpreter").run(
+            p, "axpy", [4, 2.0, np.arange(4.0), y], sizes={"n": 4})
         assert np.array_equal(y, 2.0 * np.arange(4.0) + 1.0)
 
     def test_value_function(self):
         p = _program()
-        r, _, _ = run_interpreted(p, "total", [3, np.array([1.0, 2.0, 3.0])],
-                                  sizes={"n": 3})
-        assert r == 6.0
+        run = get_executor("interpreter").run(
+            p, "total", [3, np.array([1.0, 2.0, 3.0])], sizes={"n": 3})
+        assert run.result == 6.0
 
     def test_early_return(self):
         p = _program()
         x = np.array([0.0, 5.0, 9.0])
-        assert run_interpreted(p, "search", [3, x, 4.0], sizes={"n": 3})[0] == 2
-        assert run_interpreted(p, "search", [3, x, 99.0], sizes={"n": 3})[0] == -1
+        interp = get_executor("interpreter")
+        assert interp.run(p, "search", [3, x, 4.0], sizes={"n": 3}).result == 2
+        assert interp.run(p, "search", [3, x, 99.0],
+                          sizes={"n": 3}).result == -1
 
     def test_globals_and_commons(self):
         p = _program()
-        _, ctx, _ = run_interpreted(p, "use_globals", [3], sizes={"n": 3},
-                                    values={"w": np.array([2.0, 0.0, 0.0])})
+        ctx = get_executor("interpreter").run(
+            p, "use_globals", [3], sizes={"n": 3},
+            values={"w": np.array([2.0, 0.0, 0.0])}).context
         assert np.array_equal(ctx.get("gv"), [2.0, 4.0, 6.0])
         assert ctx.value("gs") == 12.0
 
@@ -155,7 +159,8 @@ class TestInterpreter:
 
     def test_stats_recorded(self):
         p = _program()
-        _, _, interp = run_interpreted(p, "use_globals", [3], sizes={"n": 3})
+        interp = Interpreter(p, ExecutionContext(p, sizes={"n": 3}))
+        interp.call("use_globals", [3])
         assert interp.stats.loop_iterations[("use_globals", 0)] == 3
         assert interp.stats.calls["use_globals"] == 1
 
@@ -199,7 +204,7 @@ class TestInterpreter:
         s.formula(ref("out", 1), 5.0)
         p = b.build()
         out = np.zeros(2)
-        run_interpreted(p, "f", [0, out])
+        get_executor("interpreter").run(p, "f", [0, out])
         assert out[0] == 0.0
-        run_interpreted(p, "f", [1, out])
+        get_executor("interpreter").run(p, "f", [1, out])
         assert out[0] == 5.0

@@ -165,23 +165,24 @@ class TestInterpreterSentinels:
         return b.build()
 
     def test_glafexec_assignment_trips(self):
-        from repro.glafexec import run_interpreted
+        from repro.glafexec import get_executor
 
         a = np.ones(5)
         a[3] = NAN
         with sentinels():
             with pytest.raises(NumericIntegrityError) as ei:
-                run_interpreted(self._program(), "scale", [5, a])
+                get_executor("interpreter").run(self._program(), "scale",
+                                                [5, a])
         e = ei.value
         assert e.kind == "nan" and e.function == "scale"
         assert e.grid == "a" and e.cell == (4,)   # 1-based
 
     def test_glafexec_clean_run_unaffected(self):
-        from repro.glafexec import run_interpreted
+        from repro.glafexec import get_executor
 
         a = np.ones(5)
         with sentinels():
-            run_interpreted(self._program(), "scale", [5, a])
+            get_executor("interpreter").run(self._program(), "scale", [5, a])
         assert np.all(a == 2.0)
 
     def test_fortranlib_assignment_trips(self):

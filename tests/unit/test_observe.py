@@ -251,6 +251,21 @@ class TestObservedSession:
                 assert observe.get_tracer() is inner.tracer
             assert observe.get_tracer() is outer.tracer
 
+    def test_interpreter_mode_sarb_run_records_its_span(self):
+        """The default (interpreter) IR path goes through the executor
+        registry, so it is traced like ``--executor vectorized`` is."""
+        from repro.glafexec import using_executor
+        from repro.sarb import SarbDimensions, make_inputs
+        from repro.sarb.validation import run_ir_interpreter
+
+        inp = make_inputs(SarbDimensions(nv=8, nblw=2, nbsw=2))
+        with using_executor("interpreter"), observe.observed() as obs:
+            run_ir_interpreter(inp, guarded=False)
+        runs = [s for s in obs.tracer.all_spans()
+                if s.name.startswith("exec.run.")]
+        assert [s.name for s in runs] == ["exec.run.interp"]
+        assert runs[0].attrs["entry"] == "entropy_interface"
+
     def test_pipeline_under_observation(self):
         from repro.codegen import generate_fortran_module
         from repro.optimize import make_plan

@@ -25,8 +25,8 @@ from repro.glafexec import (
     GuardedRunner,
     guard_mode,
     guarded,
+    get_executor,
     guarded_python_run,
-    run_interpreted,
 )
 from repro.optimize import make_plan
 from repro.robust import (
@@ -63,8 +63,9 @@ N = 64
 
 def _reference():
     program = _program()
-    _, ctx, _ = run_interpreted(program, "work", [N], sizes={"n": N})
-    return ctx.get("v").copy()
+    run = get_executor("interpreter").run(program, "work", [N],
+                                          sizes={"n": N})
+    return run.context.get("v").copy()
 
 
 # ----------------------------------------------------------------------
@@ -318,22 +319,26 @@ class TestWatchdog:
 
     def test_interpreter_iteration_budget(self):
         with pytest.raises(ResourceLimitError, match="iteration budget"):
-            run_interpreted(_program(), "work", [N], sizes={"n": N},
-                            limits=ResourceLimits(max_loop_iterations=N // 2))
+            get_executor(
+                "interpreter",
+                limits=ResourceLimits(max_loop_iterations=N // 2),
+            ).run(_program(), "work", [N], sizes={"n": N})
 
     def test_interpreter_budget_allows_run_within_cap(self):
-        _, ctx, _ = run_interpreted(
-            _program(), "work", [N], sizes={"n": N},
-            limits=ResourceLimits(max_loop_iterations=10 * N))
-        assert np.array_equal(ctx.get("v"), _reference())
+        run = get_executor(
+            "interpreter", limits=ResourceLimits(max_loop_iterations=10 * N),
+        ).run(_program(), "work", [N], sizes={"n": N})
+        assert np.array_equal(run.context.get("v"), _reference())
 
     def test_interpreter_wall_clock_with_injected_stall(self):
         plan = FaultPlan([FaultSpec("exec.interp.iter", "delay",
                                     param=0.2, max_fires=10)])
         with fault_injection(plan):
             with pytest.raises(ResourceLimitError, match="wall-clock"):
-                run_interpreted(_program(), "work", [N], sizes={"n": N},
-                                limits=ResourceLimits(max_wall_seconds=0.02))
+                get_executor(
+                    "interpreter",
+                    limits=ResourceLimits(max_wall_seconds=0.02),
+                ).run(_program(), "work", [N], sizes={"n": N})
 
     def test_wall_clock_guard_noop_without_limits(self):
         with wall_clock_guard(None, what="x"):
