@@ -62,9 +62,9 @@ ci: lint batch
 	PYTHONPATH=src $(PYTHON) -m repro fuzz --seed 7 --count 25 --profile small --crosscheck --json fuzz_report.json
 	$(PYTHON) scripts/resume_smoke.py
 	PYTHONPATH=src $(PYTHON) -m repro bench record --repeats 3 --out BENCH_ci.json
-	PYTHONPATH=src $(PYTHON) -m repro bench compare BENCH_2.json BENCH_ci.json --fail-on-regress 400
+	PYTHONPATH=src $(PYTHON) -m repro bench compare BENCH_3.json BENCH_ci.json --fail-on-regress 400
 	PYTHONPATH=src $(PYTHON) -m repro bench record --repeats 3 --executor vectorized --out BENCH_vec.json
-	PYTHONPATH=src $(PYTHON) -m repro bench compare BENCH_2.json BENCH_vec.json --fail-on-regress 400
+	PYTHONPATH=src $(PYTHON) -m repro bench compare BENCH_3.json BENCH_vec.json --fail-on-regress 400
 
 # The shape-criteria suite plus a recorded BENCH_<n>.json artifact
 # (docs/BENCHMARKING.md documents the artifact schema and the workflow).

@@ -45,6 +45,7 @@ import json
 import os
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -66,6 +67,7 @@ from .manifest import ItemOutcome, build_manifest
 from .worker import (
     POISON_CRASH_EXIT,
     POISON_OOM_EXIT,
+    PRELOAD_MODULES,
     WorkerConfig,
     run_item,
     worker_entry,
@@ -193,15 +195,85 @@ def _main_is_spawn_safe() -> bool:
     return bool(path) and os.path.exists(path)
 
 
+#: Serializes forkserver launches, and with them the PYTHONPATH patch.
+_SERVER_LOCK = threading.Lock()
+#: pid of the forkserver this module launched with the preload, if any.
+#: Module-level because the forkserver itself is one per process.
+_warm_server_pid: int | None = None
+
+
+@contextmanager
+def _package_on_pythonpath():
+    """Prepend the directory ``repro`` was imported from to PYTHONPATH.
+
+    The forkserver is a fresh ``python -c`` whose only view of the
+    parent is its environment: CPython 3.11, among other releases,
+    sends it the parent's ``sys.path`` but never applies it, and its
+    preload swallows ``ImportError``.  Without this, a parent that made
+    ``repro`` importable with ``sys.path.insert`` gets a server with
+    nothing preloaded.  The old value is restored on the way out.
+    """
+    root = os.path.abspath(Path(__file__).parents[2])
+    old = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = (root if not old
+                                else root + os.pathsep + old)
+    try:
+        yield
+    finally:
+        if old is None:
+            del os.environ["PYTHONPATH"]
+        else:
+            os.environ["PYTHONPATH"] = old
+
+
+def _start_forkserver(ctx) -> tuple[str, str, dict]:
+    """Own the forkserver start: launch it preloaded with the compile
+    stack, or reuse the one already running.
+
+    Returns the ``batch:forkserver`` decision — ``started`` (with the
+    launch seconds) or ``reused`` (``warm`` says whether this module
+    launched that server with the preload; one started elsewhere in the
+    process keeps whatever it preloaded) — as ``(verdict, reason,
+    attrs)``.  Raises ``OSError`` when the server cannot be launched.
+    """
+    global _warm_server_pid
+    from multiprocessing import forkserver
+
+    server = forkserver._forkserver
+    with _SERVER_LOCK:
+        before = server._forkserver_pid
+        ctx.set_forkserver_preload(list(PRELOAD_MODULES))
+        t0 = time.perf_counter()
+        with _package_on_pythonpath():
+            forkserver.ensure_running()
+        start_s = time.perf_counter() - t0
+        pid = server._forkserver_pid
+        if pid != before:
+            _warm_server_pid = pid
+            return ("started",
+                    f"launched to preload {len(PRELOAD_MODULES)} modules; "
+                    "the first workers wait for the preload",
+                    {"warm": True, "start_s": round(start_s, 6)})
+        if pid == _warm_server_pid:
+            return ("reused", "already running, launched by an earlier "
+                    "batch", {"warm": True})
+        return ("reused", "already running, launched outside the batch "
+                "driver: workers may start cold", {"warm": False})
+
+
 def _mp_context():
     """A working multiprocessing context, or ``None`` to degrade serial.
 
-    Prefers ``forkserver`` (safe next to the driver's threads, and forks
-    are fast once the server has preloaded the package); falls back to
-    ``spawn``; returns ``None`` where multiprocessing itself is broken
-    (missing OS semaphores, restricted platforms) or where worker
-    startup could never succeed (:func:`_main_is_spawn_safe`).
+    Prefers ``forkserver`` — safe next to the driver's threads, and
+    :func:`_start_forkserver` preloads the compile stack into it, so
+    each worker forks with it already imported — and records how the
+    server was obtained as one ``batch:forkserver`` decision; falls
+    back to ``spawn``; returns ``None`` where multiprocessing itself is
+    broken (missing OS semaphores, restricted platforms) or where
+    worker startup could never succeed (:func:`_main_is_spawn_safe`).
     """
+    from ..observe import get_decisions
+
     if not _main_is_spawn_safe():
         return None
     try:
@@ -209,12 +281,18 @@ def _mp_context():
 
         try:
             ctx = mp.get_context("forkserver")
-            try:
-                ctx.set_forkserver_preload(["repro.batch.worker"])
-            except Exception:         # server already running: keep it
-                pass
         except ValueError:
+            return mp.get_context("spawn")
+        try:
+            verdict, reason, attrs = _start_forkserver(ctx)
+        except OSError as e:
             ctx = mp.get_context("spawn")
+            verdict, reason, attrs = ("unavailable",
+                                      f"{e}; workers spawn instead", {})
+        dl = get_decisions()
+        if dl.enabled:
+            dl.record("batch:forkserver", "batch", 0, "forkserver",
+                      verdict, reasons=(reason,), **attrs)
         return ctx
     except (ImportError, OSError, ValueError):
         return None

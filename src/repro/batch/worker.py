@@ -45,8 +45,8 @@ if TYPE_CHECKING:
     from ..fuzz.oracle import FuzzChecks
 
 __all__ = ["ARTIFACT_SCHEMA", "POISON_CRASH_EXIT", "POISON_OOM_EXIT",
-           "WorkerConfig", "compile_item", "run_item", "worker_entry",
-           "oom_message"]
+           "PRELOAD_MODULES", "WorkerConfig", "compile_item", "run_item",
+           "worker_entry", "oom_message"]
 
 ARTIFACT_SCHEMA = "repro.batch.artifact/v1"
 
@@ -102,6 +102,30 @@ def _run_poison(kind: str, item_id: str, limits: ResourceLimits) -> None:
             "MB without tripping a memory budget — run with --max-memory "
             "to arm RLIMIT_AS")
     raise BatchError(f"batch:{item_id}: unknown poison kind {kind!r}")
+
+
+#: This module plus everything the compile path below imports lazily.
+#: The batch driver preloads exactly these into its forkserver, so a
+#: freshly forked worker starts with the compile stack already imported
+#: (docs/BATCH.md, "Worker start-up").  Add a module here whenever you
+#: add a lazy import to the compile path; a test in
+#: tests/unit/test_batch.py fails until you do.
+PRELOAD_MODULES = (
+    "repro.batch.worker",
+    "repro.observe",
+    "repro.core.project",
+    "repro.core.validate",
+    "repro.fuzz",
+    "repro.fuzz.oracle",
+    "repro.glafexec",
+    "repro.optimize",
+    "repro.codegen",
+    "repro.fortranlib.parser",
+    "repro.lint.findings",
+    "repro.lint.runner",
+    "repro.lint.dataflow",
+    "numpy.random",                   # fuzz draws; numpy loads it lazily
+)
 
 
 def _empty_lint(units: int = 0) -> dict:

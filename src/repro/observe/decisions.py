@@ -29,6 +29,7 @@ Stages and their verdict vocabularies:
 ``batch:item``           ``ok`` | ``failed`` | ``quarantined``
 ``batch:quarantine``     ``written`` | ``sticky``
 ``batch:degraded``       ``serial``
+``batch:forkserver``     ``started`` | ``reused`` | ``unavailable``
 ``batch:campaign``       ``completed`` | ``failed``
 ``cache:corrupt-entry``  ``discarded``
 =======================  ============================================
@@ -65,7 +66,8 @@ see ``docs/RUN_LEDGER.md``.  The ``batch:*`` stages narrate a
 cache/resume/attempt attrs), ``batch:quarantine`` when a poison item's
 bundle is written (or recognized ``sticky`` from a prior campaign),
 ``batch:degraded`` when multiprocessing is unavailable and the driver
-compiles in-process, and one closing ``batch:campaign`` carrying the
+compiles in-process, ``batch:forkserver`` when a parallel run obtains
+its preloaded forkserver, and one closing ``batch:campaign`` carrying the
 manifest digest; ``cache:corrupt-entry`` is emitted by the
 content-addressed artifact cache whenever a tampered or truncated entry
 is detected, discarded, and recompiled — see ``docs/BATCH.md``.

@@ -190,6 +190,62 @@ class TestRunItem:
             run_item(item, WorkerConfig(target="cuda"))
 
 
+_PRELOAD_PROBE = """\
+import importlib
+import json
+import sys
+
+from repro.batch.worker import PRELOAD_MODULES
+
+for name in PRELOAD_MODULES:
+    importlib.import_module(name)
+before = set(sys.modules)
+
+from repro.batch import CorpusItem, WorkerConfig, run_item
+from repro.fuzz import FuzzChecks, get_profile
+
+payload = json.loads(sys.stdin.read())
+items = [CorpusItem(id=kind, kind=kind, content=content)
+         for kind, content in payload.items()]
+for item in items:
+    targets = ("fortran",) if item.kind == "source" else (
+        "fortran", "c", "python", "opencl")
+    for target in targets:
+        run_item(item, WorkerConfig(target=target))
+checks = FuzzChecks(get_profile("small"), crosscheck=True)
+run_item(items[0], WorkerConfig(checks=checks))
+print(json.dumps(sorted(m for m in set(sys.modules) - before
+                        if m.startswith("repro"))))
+"""
+
+
+class TestPreloadModules:
+    def test_preload_covers_the_whole_compile_path(self):
+        # A fresh interpreter that imports only PRELOAD_MODULES must
+        # compile every item kind, every target and a checked fuzz item
+        # without importing another repro module — or forked workers
+        # would pay that import per item.
+        import os
+        import subprocess
+        import sys
+
+        from repro.core.project import program_to_dict
+        from repro.sarb import build_sarb_program
+
+        payload = {
+            "fuzz": ingest_corpus(["fuzz:3:1"])[0].content,
+            "project": json.dumps(program_to_dict(build_sarb_program())),
+            "source": FSRC,
+        }
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        res = subprocess.run([sys.executable, "-c", _PRELOAD_PROBE],
+                             input=json.dumps(payload), env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == []
+
+
 # ---------------------------------------------------------------------------
 # content-addressed cache
 

@@ -95,7 +95,8 @@ class TestObservabilityDoc:
                  "fuzz:item", "fuzz:signature", "fuzz:shrink",
                  "fuzz:quarantine", "fuzz:campaign", "run:record",
                  "sample:resource", "batch:item", "batch:quarantine",
-                 "batch:degraded", "batch:campaign", "cache:corrupt-entry"]
+                 "batch:degraded", "batch:forkserver", "batch:campaign",
+                 "cache:corrupt-entry"]
         missing = [s for s in fixed if f"`{s}`" not in doc]
         assert not missing, (
             f"docs/OBSERVABILITY.md event catalog is missing stage(s): "
