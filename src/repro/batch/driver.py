@@ -41,6 +41,7 @@ without a campaign around it (the fuzz shrinker's probe).
 
 from __future__ import annotations
 
+import contextvars
 import json
 import os
 import threading
@@ -449,6 +450,7 @@ def _artifact_failures(artifacts: dict) -> list[dict]:
             "stage": "lint",
             "error": "LintFinding",
             "rule": f.get("rule", ""),
+            "unit": f.get("unit", ""),
             "message": (f"{f.get('unit', '?')}:{f.get('line', 0)}: "
                         f"{f.get('message', '')}"),
         })
@@ -695,8 +697,13 @@ def run_batch(items: list[CorpusItem],
     if mode == "parallel":
         from concurrent.futures import ThreadPoolExecutor
 
+        # Each pool task runs in a copy of this thread's context, so its
+        # item and quarantine records reach the caller's observers.
         with ThreadPoolExecutor(max_workers=options.jobs) as pool:
-            outcomes = list(pool.map(process, enumerate(items)))
+            futures = [pool.submit(contextvars.copy_context().run,
+                                   process, pair)
+                       for pair in enumerate(items)]
+            outcomes = [f.result() for f in futures]
     else:
         outcomes = [process(pair) for pair in enumerate(items)]
 

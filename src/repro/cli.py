@@ -92,6 +92,8 @@ import json
 import sys
 from typing import Sequence
 
+from .runconfig import run_config
+
 __all__ = ["main", "build_parser"]
 
 _PROFILE_REPORT = object()     # sentinel: bare --profile (text report to stderr)
@@ -132,7 +134,7 @@ def _add_ledger_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_executor_flag(sub: argparse.ArgumentParser) -> None:
+def _add_executor_flag(sub) -> None:
     sub.add_argument(
         "--executor", choices=["interpreter", "vectorized", "guarded"],
         default=None,
@@ -152,9 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiments", help="run paper experiments")
     exp.add_argument("ids", nargs="*", help="experiment ids (default: all)")
-    exp.add_argument("--guarded", action="store_true",
-                     help="run interpreter workloads under the divergence "
-                          "guard (serial fallback on mis-parallelization)")
+    # The guard runs the interpreter itself, so it cannot honor --executor.
+    engine = exp.add_mutually_exclusive_group()
+    engine.add_argument("--guarded", action="store_true",
+                        help="run interpreter workloads under the divergence "
+                             "guard (serial fallback on mis-parallelization)")
+    _add_executor_flag(engine)
     exp.add_argument("--sentinels", action="store_true",
                      help="screen every interpreter assignment for NaN/Inf/"
                           "overflow; abort with a typed error on the first "
@@ -167,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
                           ".repro_experiments.ckpt)")
     exp.add_argument("--json", dest="json_path", metavar="FILE",
                      help="also write the result tables as JSON to FILE")
-    _add_executor_flag(exp)
     _add_profile_flag(exp)
     _add_ledger_flags(exp)
 
@@ -467,6 +471,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _run_changes(args) -> dict:
+    """The run-configuration changes ``--executor`` and ``--sentinels``
+    ask for."""
+    from .numeric import SentinelConfig
+
+    changes: dict = {}
+    if getattr(args, "executor", None):
+        changes["executor"] = args.executor
+    if getattr(args, "sentinels", False):
+        changes["sentinels"] = SentinelConfig()
+    return changes
+
+
 def _load_program(path: str):
     from .core.project import load_project
     from .core.validate import validate_program
@@ -480,12 +497,9 @@ def _load_program(path: str):
 
 
 def _cmd_experiments(args) -> int:
-    from contextlib import ExitStack
-
     from .bench import EXPERIMENTS, run_and_format
     from .bench.harness import ExperimentResult, format_table
-    from .glafexec import guarded, using_executor
-    from .numeric import CheckpointStore, sentinels
+    from .numeric import CheckpointStore
 
     ids = args.ids or list(EXPERIMENTS)
     unknown = [i for i in ids if i not in EXPERIMENTS]
@@ -500,13 +514,8 @@ def _cmd_experiments(args) -> int:
         store.clear()          # stale checkpoints must not skip fresh work
     results = []
     resumed = 0
-    with ExitStack() as stack:
-        stack.enter_context(
-            guarded(enabled=bool(getattr(args, "guarded", False))))
-        if getattr(args, "executor", None):
-            stack.enter_context(using_executor(args.executor))
-        if getattr(args, "sentinels", False):
-            stack.enter_context(sentinels())
+    with run_config(**_run_changes(args),
+                    guard=bool(getattr(args, "guarded", False))):
         for exp_id in ids:
             done = (store.load(f"exp-{exp_id}", discard_corrupt=True)
                     if resume else None)
@@ -640,21 +649,15 @@ def _cmd_profile(args) -> int:
     from .fortranlib.parser import parse_source
     from .optimize import make_plan
 
-    from contextlib import ExitStack
-
-    from .robust import FaultPlan, FaultSpec, fault_injection
+    from .robust import FaultPlan, FaultSpec
 
     specs = [FaultSpec.parse(text) for text in args.fault]
     targets = (["fortran", "c", "opencl", "python"]
                if args.target == "all" else [args.target])
-    with observe.observing() as obs, ExitStack() as stack:
-        if specs:
-            stack.enter_context(
-                fault_injection(FaultPlan(specs, seed=args.fault_seed)))
-        if getattr(args, "sentinels", False):
-            from .numeric import sentinels
-
-            stack.enter_context(sentinels())
+    changes = _run_changes(args)
+    if specs:
+        changes["faults"] = FaultPlan(specs, seed=args.fault_seed)
+    with observe.observing() as obs, run_config(**changes):
         with observe.get_tracer().span("pipeline", project=args.project,
                                        variant=args.variant):
             program = _load_program(args.project)
@@ -705,9 +708,6 @@ def _cmd_bench(args) -> int:
     from .bench import record
 
     if args.bench_command == "record":
-        from contextlib import ExitStack
-
-        from .glafexec import using_executor
         from .numeric import CheckpointStore, RetryPolicy
 
         out = args.out or record.next_bench_path()
@@ -716,9 +716,7 @@ def _cmd_bench(args) -> int:
             store.clear()      # fresh recording: stale checkpoints are void
         retry = (RetryPolicy(retries=args.retries)
                  if args.retries > 0 else None)
-        with ExitStack() as stack:
-            if getattr(args, "executor", None):
-                stack.enter_context(using_executor(args.executor))
+        with run_config(**_run_changes(args)):
             doc = record.record_benchmark(ids=args.ids or None,
                                           repeats=args.repeats,
                                           checkpoints=store, retry=retry)

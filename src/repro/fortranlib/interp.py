@@ -35,6 +35,7 @@ import numpy as np
 
 from ..errors import FortranRuntimeError
 from ..numeric import sentinel as _sentinel
+from ..runconfig import current
 from .ast import (
     FAllocate,
     FAssign,
@@ -194,6 +195,8 @@ class FortranRuntime:
         self._save_store: dict[tuple[str, str], Slot] = {}
         self._call_depth = 0
         self.max_call_depth = 100
+        # The run's sentinels, captured on entry by call()/run_program().
+        self._sentinels = None
 
     # ------------------------------------------------------------------
     # loading
@@ -357,6 +360,7 @@ class FortranRuntime:
         temporaries (use 0-d arrays for intent(out) scalars).
         """
         sub, env = self._find_subprogram(name.lower(), module)
+        self._sentinels = current().sentinels
         return self._invoke(sub, env, list(args))
 
     def run_program(self, name: str | None = None) -> None:
@@ -369,6 +373,7 @@ class FortranRuntime:
         # A PROGRAM's CONTAINS'd subprograms are registered as bare units.
         for sub in prog.subprograms:
             self.bare_subprograms.setdefault(sub.name, sub)
+        self._sentinels = current().sentinels
         try:
             self._invoke(pseudo, env, [])
         except StopSignal:
@@ -660,21 +665,22 @@ class FortranRuntime:
                 raise FortranRuntimeError(f"cannot assign to PARAMETER {target.name!r}")
             if slot.store is None:
                 raise FortranRuntimeError(f"{target.name!r} used before ALLOCATE")
-            if _sentinel._ACTIVE is not None:
+            if self._sentinels is not None:
                 _sentinel.check_value(
                     value, function=self._assign_site(frame, s),
-                    grid=target.name)
+                    grid=target.name, config=self._sentinels)
             if slot.store.ndim == 0:
                 slot.store[()] = value
             else:
                 slot.store[...] = value   # whole-array assignment
             return
         store, idx = self._resolve_element(frame, target)
-        if _sentinel._ACTIVE is not None:
+        if self._sentinels is not None:
             _sentinel.check_value(
                 value, function=self._assign_site(frame, s),
                 grid=self._target_name(target),
-                cell=None if idx is None else tuple(i + 1 for i in idx))
+                cell=None if idx is None else tuple(i + 1 for i in idx),
+                config=self._sentinels)
         if idx is None:
             store[...] = value
         else:

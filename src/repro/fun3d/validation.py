@@ -60,8 +60,8 @@ def run_ir_interpreter(mesh: TetMesh, *, save_inner_arrays: bool = False,
     """Run through the IR execution pipeline; under ``--guarded`` (or
     explicit ``guarded=True``) execution goes through :class:`GuardedRunner`
     with per-step divergence probes and serial fallback.  Otherwise the
-    selected executor runs the program (``executor=None`` honors the
-    process-wide ``--executor`` mode)."""
+    selected executor runs the program (``executor=None`` honors the run
+    configuration's ``executor``, the CLI's ``--executor`` flag)."""
     program = build_fun3d_program()
     ctx = ExecutionContext(program, sizes=mesh_sizes(mesh),
                            values=context_values(mesh))

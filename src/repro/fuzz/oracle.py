@@ -13,14 +13,14 @@ failure docs; counts ride in the artifacts (docs/FUZZING.md).
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass
-from typing import Iterator
+from typing import ContextManager
 
 import numpy as np
 
 from ..errors import GlafError, NumericIntegrityError, ResourceLimitError
 from ..robust import FaultSpec
+from ..runconfig import RunConfig, run_config
 from .generate import CodebaseSpec
 from .profile import FuzzProfile
 
@@ -47,20 +47,18 @@ class FuzzChecks:
                 "faults": [asdict(f) for f in self.faults],
                 "fault_seed": self.fault_seed}
 
-    @contextmanager
-    def armed(self) -> Iterator[None]:
+    def armed(self) -> ContextManager[RunConfig]:
         """A fresh seeded fault plan plus the numeric sentinels, for one
         item — so one-shot faults fire identically on every
         reproduction."""
-        from ..numeric import sentinels
-        from ..robust import FaultPlan, fault_injection
+        from ..numeric import SentinelConfig
+        from ..robust import FaultPlan
 
-        with ExitStack() as stack:
-            if self.faults:
-                stack.enter_context(fault_injection(
-                    FaultPlan(list(self.faults), seed=self.fault_seed)))
-            stack.enter_context(sentinels())
-            yield
+        changes: dict = {"sentinels": SentinelConfig()}
+        if self.faults:
+            changes["faults"] = FaultPlan(list(self.faults),
+                                          seed=self.fault_seed)
+        return run_config(**changes)
 
     def run(self, program, spec: CodebaseSpec, source: str) -> dict:
         """Differentially execute every unit of one compiled item."""

@@ -11,8 +11,6 @@ from .executor import (
     VectorizedExecutor,
     executor_mode,
     get_executor,
-    set_executor_mode,
-    using_executor,
 )
 from .guard import (
     GuardedInterpreter,
@@ -22,10 +20,8 @@ from .guard import (
     PythonGuardResult,
     VectorizedGuardResult,
     guard_mode,
-    guarded,
     guarded_python_run,
     guarded_vectorized_run,
-    set_guard_mode,
 )
 from .interp import ExecStats, Interpreter
 from .runner import GeneratedModule, run_generated_python
@@ -49,11 +45,11 @@ __all__ = [
     "GeneratedModule", "run_generated_python",
     "ParallelValidation", "ShuffledInterpreter", "validate_parallel_semantics",
     "GuardEvent", "GuardedInterpreter", "GuardedRun", "GuardedRunner",
-    "PythonGuardResult", "VectorizedGuardResult", "guard_mode", "guarded",
-    "guarded_python_run", "guarded_vectorized_run", "set_guard_mode",
+    "PythonGuardResult", "VectorizedGuardResult", "guard_mode",
+    "guarded_python_run", "guarded_vectorized_run",
     "EXECUTOR_NAMES", "Executor", "ExecutorRun", "GuardedExecutor",
     "InterpreterExecutor", "VectorizedExecutor", "executor_mode",
-    "get_executor", "set_executor_mode", "using_executor",
+    "get_executor",
     "FallbackEvent", "LiftFailure", "LiftedStep", "VectorizedInterpreter",
     "compile_step", "liftability_report",
 ]

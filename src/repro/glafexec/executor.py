@@ -16,23 +16,22 @@ Three interchangeable back ends run a program's entry point against an
     interpreter under a tolerance policy; the interpreter's result is
     always the one kept.
 
-Selection is either explicit (:func:`get_executor`) or through the
-process-wide executor mode (the CLI's ``--executor`` flag, or the
-``REPRO_EXECUTOR`` environment variable for whole-process runs such as the
-CI vectorized leg), mirroring the guard-mode trio in
-:mod:`repro.glafexec.guard`.
+Selection is either explicit (:func:`get_executor`) or through the run
+configuration's ``executor`` (``run_config(executor=...)``, set by the
+CLI's ``--executor`` flag; its default comes from the ``REPRO_EXECUTOR``
+environment variable for whole-process runs such as the CI vectorized
+leg; see :mod:`repro.runconfig`).
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from ..core.function import GlafProgram
 from ..errors import ExecutionError
 from ..robust import ResourceLimits
+from ..runconfig import EXECUTOR_NAMES, current
 from .context import ExecutionContext
 from .guard import DEFAULT_GUARD_TOLERANCE, VectorizedGuardResult, guarded_vectorized_run
 from .interp import Interpreter
@@ -41,11 +40,8 @@ from .vectorize import FallbackEvent, VectorizedInterpreter
 __all__ = [
     "EXECUTOR_NAMES", "Executor", "ExecutorRun",
     "GuardedExecutor", "InterpreterExecutor", "VectorizedExecutor",
-    "executor_mode", "get_executor", "set_executor_mode", "using_executor",
+    "executor_mode", "get_executor",
 ]
-
-#: Valid executor names, in guard-strictness order.
-EXECUTOR_NAMES = ("interpreter", "vectorized", "guarded")
 
 
 @dataclass
@@ -172,39 +168,6 @@ def get_executor(name: str | None = None, **kw: Any) -> Executor:
     return cls(**kw)
 
 
-# ----------------------------------------------------------------------
-# process-wide executor mode (the CLI's --executor flag)
-# ----------------------------------------------------------------------
-def _initial_mode() -> str:
-    env = os.environ.get("REPRO_EXECUTOR", "interpreter")
-    return env if env in EXECUTOR_NAMES else "interpreter"
-
-
-_EXECUTOR_MODE = _initial_mode()
-
-
 def executor_mode() -> str:
-    """The currently-selected executor name (default ``interpreter``)."""
-    return _EXECUTOR_MODE
-
-
-def set_executor_mode(name: str) -> str:
-    """Select the process-wide executor; returns the previous name."""
-    global _EXECUTOR_MODE
-    if name not in EXECUTOR_NAMES:
-        raise ExecutionError(
-            f"unknown executor {name!r}; choose from {EXECUTOR_NAMES}")
-    prev = _EXECUTOR_MODE
-    _EXECUTOR_MODE = name
-    return prev
-
-
-@contextmanager
-def using_executor(name: str) -> Iterator[None]:
-    """Select an executor for the block (validation paths that honor the
-    mode route execution through :func:`get_executor`)."""
-    prev = set_executor_mode(name)
-    try:
-        yield
-    finally:
-        set_executor_mode(prev)
+    """The run's executor name (default ``interpreter``)."""
+    return current().executor

@@ -24,9 +24,8 @@ interpreter's result on divergence, :class:`CodegenError`, or
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from ..errors import CodegenError, ExecutionError, ResourceLimitError
 from ..numeric import snapshot_max_abs_error
 from ..optimize.plan import OptimizationPlan, make_plan
 from ..robust import ResourceLimits, inject
+from ..runconfig import current
 from .context import ExecutionContext
 from .interp import Interpreter
 from .shuffle import ShuffledInterpreter
@@ -43,7 +43,7 @@ from .shuffle import ShuffledInterpreter
 __all__ = [
     "GuardEvent", "GuardedInterpreter", "GuardedRun", "GuardedRunner",
     "PythonGuardResult", "VectorizedGuardResult", "guarded_python_run",
-    "guarded_vectorized_run", "guard_mode", "guarded", "set_guard_mode",
+    "guarded_vectorized_run", "guard_mode",
 ]
 
 DEFAULT_GUARD_TOLERANCE = 1e-9
@@ -426,31 +426,6 @@ def guarded_vectorized_run(
         tolerance=tolerance, policy=policy, fallbacks=fallbacks)
 
 
-# ----------------------------------------------------------------------
-# process-wide guard mode (the CLI's --guarded flag)
-# ----------------------------------------------------------------------
-_GUARD_MODE = False
-
-
 def guard_mode() -> bool:
     """True while guarded execution is requested (``--guarded``)."""
-    return _GUARD_MODE
-
-
-def set_guard_mode(enabled: bool) -> bool:
-    """Set the process-wide guard flag; returns the previous value."""
-    global _GUARD_MODE
-    prev = _GUARD_MODE
-    _GUARD_MODE = bool(enabled)
-    return prev
-
-
-@contextmanager
-def guarded(enabled: bool = True) -> Iterator[None]:
-    """Enable guard mode for the block (validation paths that support it
-    route execution through :class:`GuardedRunner`)."""
-    prev = set_guard_mode(enabled)
-    try:
-        yield
-    finally:
-        set_guard_mode(prev)
+    return current().guard

@@ -48,6 +48,7 @@ from ..errors import ExecutionError
 from ..numeric import sentinel as _sentinel
 from ..robust import Budget, ResourceLimits
 from ..robust import faults as _faults
+from ..runconfig import current
 from .context import ExecutionContext, as_storage
 
 __all__ = ["Interpreter", "ExecStats"]
@@ -113,6 +114,10 @@ class Interpreter:
         self.stats = ExecStats()
         self._save_store: dict[tuple[str, str], np.ndarray] = {}
         self._depth = 0
+        # The run's fault plan and sentinels, captured by _enter() so the
+        # per-element hooks test a plain attribute.
+        self._faults = None
+        self._sentinels = None
 
     def reset_save_store(self) -> None:
         self._save_store.clear()
@@ -128,13 +133,21 @@ class Interpreter:
         if _m.enabled:
             _m.counter("exec.interp.calls").inc()
         if self._depth == 0:
-            if self._budget is not None:
-                self._budget.start()
+            self._enter()
             # Only the outermost call gets a span; nested calls would swamp
             # the trace and are already counted by ExecStats / the counter.
             with get_tracer().span("exec.interp", entry=name):
                 return self._call(name, args)
         return self._call(name, args)
+
+    def _enter(self) -> None:
+        """Start the outermost call: capture the run configuration's fault
+        plan and sentinels and start the budget clock."""
+        cfg = current()
+        self._faults = cfg.faults
+        self._sentinels = cfg.sentinels
+        if self._budget is not None:
+            self._budget.start()
 
     def _call(self, name: str, args: list[Any] | tuple = ()) -> Any:
         fn = self.program.find_function(name)
@@ -218,7 +231,7 @@ class Interpreter:
     def _exec_step(self, frame: _Frame, idx: int, step: Step) -> None:
         frame.current_step = idx
         frame.current_step_name = step.name
-        if _faults._ACTIVE is not None:
+        if self._faults is not None:
             _faults.inject("exec.interp.step", function=frame.fn.name,
                            step=idx, parallel=False)
         if not step.is_loop:
@@ -233,7 +246,7 @@ class Interpreter:
             self.stats.note_iter(frame.fn.name, idx)
             if self._budget is not None:
                 self._budget.tick()
-            if _faults._ACTIVE is not None:
+            if self._faults is not None:
                 _faults.inject("exec.interp.iter", function=frame.fn.name,
                                step=idx)
             if step.condition is not None and not self._truth(frame, step.condition):
@@ -295,19 +308,20 @@ class Interpreter:
             raise ExecutionError(
                 f"cannot assign scalar to whole array {s.target.grid!r}"
             )
-        if (_faults._ACTIVE is not None
+        if (self._faults is not None
                 and np.issubdtype(store.dtype, np.floating)):
             poisoned = _faults.inject(
                 "numeric.sentinel", value, function=frame.fn.name,
                 step=frame.current_step, grid=s.target.grid)
             if poisoned is not None:
                 value = poisoned
-        if _sentinel._ACTIVE is not None:
+        if self._sentinels is not None:
             _sentinel.check_value(
                 value, function=frame.fn.name,
                 step_index=frame.current_step,
                 step_name=frame.current_step_name, grid=s.target.grid,
-                cell=None if idx is None else tuple(i + 1 for i in idx))
+                cell=None if idx is None else tuple(i + 1 for i in idx),
+                config=self._sentinels)
         if idx is not None:
             store[idx] = value
         else:

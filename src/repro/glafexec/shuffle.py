@@ -61,7 +61,7 @@ class ShuffledInterpreter(Interpreter):
         for k in order:
             if self._budget is not None:
                 self._budget.tick()
-            if _faults._ACTIVE is not None:
+            if self._faults is not None:
                 _faults.inject("exec.interp.iter", function=frame.fn.name,
                                step=idx)
             for var, value in zip(names, tuples[k]):

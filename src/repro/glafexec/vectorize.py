@@ -57,7 +57,6 @@ from ..core.libfuncs import get as get_libfunc
 from ..core.step import Assign, CallStmt, ExitLoop, IfStmt, Return, Step
 from ..errors import ExecutionError, NumericIntegrityError, ResourceLimitError
 from ..numeric import sentinel as _sentinel
-from ..robust import faults as _faults
 from .interp import Interpreter
 
 __all__ = [
@@ -364,15 +363,14 @@ class VectorizedInterpreter(Interpreter):
         if _m.enabled:
             _m.counter("exec.vectorized.calls").inc()
         if self._depth == 0:
-            if self._budget is not None:
-                self._budget.start()
+            self._enter()
             with get_tracer().span("exec.vectorized", entry=name):
                 return self._call(name, args)
         return self._call(name, args)
 
     # ------------------------------------------------------------------
     def _exec_step(self, frame, idx: int, step: Step) -> None:
-        if _faults._ACTIVE is not None:
+        if self._faults is not None:
             # Keep injection sites (exec.interp.step/iter, numeric.sentinel)
             # hitting per iteration, exactly as the reference does.
             Interpreter._exec_step(self, frame, idx, step)
@@ -578,10 +576,11 @@ class VectorizedInterpreter(Interpreter):
                     value = np.minimum(cur, contrib)
                 else:
                     value = np.maximum(cur, contrib)
-            if _sentinel._ACTIVE is not None:
+            if self._sentinels is not None:
                 _sentinel.check_value(
                     value, function=frame.fn.name, step_index=idx,
-                    step_name=step.name, grid=a.target.grid, cell=None)
+                    step_name=step.name, grid=a.target.grid, cell=None,
+                    config=self._sentinels)
             store[tsel] = value
 
     # ------------------------------------------------------------------

@@ -8,7 +8,7 @@ comparisons (see ``docs/NUMERICS.md``):
 
 * :mod:`repro.numeric.sentinel` — configurable NaN/Inf/overflow/denormal
   **sentinels** hooked into both interpreters via the same cheap
-  module-global pattern the fault-injection hooks use; a trip raises the
+  run-configuration read the fault-injection hooks use; a trip raises the
   typed :class:`repro.errors.NumericIntegrityError` naming the offending
   step/cell and records a ``numeric:<kind>`` DecisionLog event;
 * :mod:`repro.numeric.tolerance` — the **tolerance-policy engine**
@@ -44,8 +44,6 @@ from .sentinel import (
     SentinelConfig,
     check_value,
     sentinel_config,
-    sentinels,
-    set_sentinel_config,
 )
 from .tolerance import (
     POLICIES,
@@ -65,7 +63,7 @@ from .tolerance import (
 __all__ = [
     # sentinels
     "SENTINEL_KINDS", "SentinelConfig", "check_value",
-    "sentinel_config", "sentinels", "set_sentinel_config",
+    "sentinel_config",
     # tolerance policies
     "POLICIES", "TolerancePolicy", "AbsolutePolicy", "RelativePolicy",
     "UlpPolicy", "RmsPolicy", "ComparisonResult", "compare_arrays",

@@ -1,7 +1,9 @@
 """Zero-dependency observability for the GLAF pipeline.
 
-The subsystem has three legs, each with a module-level no-op default so
-un-instrumented runs cost nothing (see ``docs/OBSERVABILITY.md``):
+The subsystem has three legs, each with a shared no-op default so
+un-instrumented runs cost nothing (see ``docs/OBSERVABILITY.md``).  The
+installed trio is part of the run configuration
+(:mod:`repro.runconfig`):
 
 * :mod:`repro.observe.trace` — a :class:`Tracer` of nestable spans
   (``with tracer.span("analysis.dependence", step=name):``) capturing
@@ -44,13 +46,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
+from ..runconfig import run_config
 from .decisions import (
     NULL_DECISIONS,
     Decision,
     DecisionLog,
     NullDecisionLog,
     get_decisions,
-    set_decisions,
 )
 from .metrics import (
     NULL_METRICS,
@@ -60,7 +62,6 @@ from .metrics import (
     MetricsRegistry,
     NullMetricsRegistry,
     get_metrics,
-    set_metrics,
 )
 from .bench import BENCH_SCHEMA, RepeatStats, stage_seconds, summarize_repeats
 from .report import (
@@ -80,18 +81,17 @@ from .trace import (
     Span,
     Tracer,
     get_tracer,
-    set_tracer,
 )
 
 __all__ = [
     # trace
-    "Span", "Tracer", "NullTracer", "NULL_TRACER", "get_tracer", "set_tracer",
+    "Span", "Tracer", "NullTracer", "NULL_TRACER", "get_tracer",
     # metrics
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullMetricsRegistry",
-    "NULL_METRICS", "get_metrics", "set_metrics",
+    "NULL_METRICS", "get_metrics",
     # decisions
     "Decision", "DecisionLog", "NullDecisionLog", "NULL_DECISIONS",
-    "get_decisions", "set_decisions",
+    "get_decisions",
     # reporting
     "TRACE_SCHEMA", "render_tree", "render_stage_summary", "render_metrics",
     "render_decisions", "render_report", "stage_totals", "trace_to_json",
@@ -146,15 +146,9 @@ def observed(clock=None) -> Iterator[Observation]:
     """
     obs = Observation(Tracer(clock) if clock is not None else Tracer(),
                       MetricsRegistry(), DecisionLog())
-    prev_t = set_tracer(obs.tracer)
-    prev_m = set_metrics(obs.metrics)
-    prev_d = set_decisions(obs.decisions)
-    try:
+    with run_config(tracer=obs.tracer, metrics=obs.metrics,
+                    decisions=obs.decisions):
         yield obs
-    finally:
-        set_tracer(prev_t)
-        set_metrics(prev_m)
-        set_decisions(prev_d)
 
 
 @contextmanager

@@ -79,13 +79,14 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from ..runconfig import current
+
 __all__ = [
     "Decision",
     "DecisionLog",
     "NullDecisionLog",
     "NULL_DECISIONS",
     "get_decisions",
-    "set_decisions",
 ]
 
 
@@ -190,19 +191,8 @@ class NullDecisionLog:
 
 NULL_DECISIONS = NullDecisionLog()
 
-_decisions: DecisionLog | NullDecisionLog = NULL_DECISIONS
-
 
 def get_decisions() -> DecisionLog | NullDecisionLog:
-    """The process-wide decision log (no-op unless observation is active)."""
-    return _decisions
-
-
-def set_decisions(
-    log: DecisionLog | NullDecisionLog | None,
-) -> DecisionLog | NullDecisionLog:
-    """Install ``log`` (``None`` restores the no-op); returns the previous."""
-    global _decisions
-    prev = _decisions
-    _decisions = log if log is not None else NULL_DECISIONS
-    return prev
+    """The run's decision log (no-op unless observation is active)."""
+    decisions = current().decisions
+    return NULL_DECISIONS if decisions is None else decisions

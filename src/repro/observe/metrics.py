@@ -15,6 +15,8 @@ import threading
 import zlib
 from typing import Iterable
 
+from ..runconfig import current
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -23,7 +25,6 @@ __all__ = [
     "NullMetricsRegistry",
     "NULL_METRICS",
     "get_metrics",
-    "set_metrics",
 ]
 
 
@@ -247,19 +248,8 @@ class NullMetricsRegistry:
 
 NULL_METRICS = NullMetricsRegistry()
 
-_metrics: MetricsRegistry | NullMetricsRegistry = NULL_METRICS
-
 
 def get_metrics() -> MetricsRegistry | NullMetricsRegistry:
-    """The process-wide registry (no-op unless observation is active)."""
-    return _metrics
-
-
-def set_metrics(
-    registry: MetricsRegistry | NullMetricsRegistry | None,
-) -> MetricsRegistry | NullMetricsRegistry:
-    """Install ``registry`` (``None`` restores the no-op); returns previous."""
-    global _metrics
-    prev = _metrics
-    _metrics = registry if registry is not None else NULL_METRICS
-    return prev
+    """The run's registry (no-op unless observation is active)."""
+    metrics = current().metrics
+    return NULL_METRICS if metrics is None else metrics

@@ -22,6 +22,7 @@ watermark, still monotone and useful) and to 0.0 where neither exists.
 
 from __future__ import annotations
 
+import contextvars
 import gc
 import os
 import threading
@@ -85,8 +86,11 @@ class ResourceSampler:
 
         self._epoch = self._clock()
         self._stop.clear()
+        # The thread ticks under a copy of this context, so its samples
+        # reach the caller's metrics.
         self._thread = threading.Thread(
-            target=self._run, name="repro-resource-sampler", daemon=True)
+            target=contextvars.copy_context().run, args=(self._run,),
+            name="repro-resource-sampler", daemon=True)
         self._thread.start()
         get_decisions().record(
             "sample:resource", "cli", 0, "sampler", "started",

@@ -7,11 +7,12 @@ parse → access analysis → dependence → parallelization → pruning →
 codegen → execution — renders as one flame-style tree
 (:func:`repro.observe.report.render_tree`).
 
-The module-level default is :data:`NULL_TRACER`, a no-op whose ``span``
-call returns a shared singleton context manager; instrumented code that
-runs without an active observation therefore costs one global read and
-two trivial method calls per site.  Install a real tracer with
-:func:`set_tracer` or, more commonly, :func:`repro.observe.observed`.
+The default is :data:`NULL_TRACER`, a no-op whose ``span`` call returns a
+shared singleton context manager; instrumented code that runs without an
+active observation therefore costs one context-variable read and two
+trivial method calls per site.  Install a real tracer with
+``repro.runconfig.run_config(tracer=...)`` or, more commonly,
+:func:`repro.observe.observed`.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
+from ..runconfig import current
+
 __all__ = [
     "Span",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
     "get_tracer",
-    "set_tracer",
 ]
 
 
@@ -196,17 +198,8 @@ class NullTracer:
 
 NULL_TRACER = NullTracer()
 
-_tracer: Tracer | NullTracer = NULL_TRACER
-
 
 def get_tracer() -> Tracer | NullTracer:
-    """The process-wide tracer (the shared no-op unless observation is on)."""
-    return _tracer
-
-
-def set_tracer(tracer: Tracer | NullTracer | None) -> Tracer | NullTracer:
-    """Install ``tracer`` (``None`` restores the no-op); returns the previous."""
-    global _tracer
-    prev = _tracer
-    _tracer = tracer if tracer is not None else NULL_TRACER
-    return prev
+    """The run's tracer (the shared no-op unless observation is on)."""
+    tracer = current().tracer
+    return NULL_TRACER if tracer is None else tracer

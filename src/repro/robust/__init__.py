@@ -35,7 +35,6 @@ from .faults import (
     FaultPlan,
     FaultSpec,
     InjectionSite,
-    fault_injection,
     get_fault_plan,
     inject,
 )
@@ -44,6 +43,6 @@ from .watchdog import (Budget, ResourceLimits, apply_memory_limit,
 
 __all__ = [
     "SITES", "FaultEvent", "FaultPlan", "FaultSpec", "InjectionSite",
-    "fault_injection", "get_fault_plan", "inject",
+    "get_fault_plan", "inject",
     "Budget", "ResourceLimits", "apply_memory_limit", "wall_clock_guard",
 ]

@@ -3,8 +3,8 @@
 A :class:`FaultPlan` is a seeded list of :class:`FaultSpec` entries, each
 naming a registered :data:`SITES` entry.  Pipeline modules call the
 module-level :func:`inject` hook at their site; when no plan is active the
-hook is a cheap no-op, and under :func:`fault_injection` the active plan
-decides — deterministically — whether and how to corrupt the payload,
+hook is a cheap no-op, and under ``run_config(faults=plan)``
+(:mod:`repro.runconfig`) the plan decides — deterministically — whether and how to corrupt the payload,
 raise an artificial :class:`repro.errors.ExecutionError`, or stall.
 
 The hooks are intentionally tiny (one call per site) so the injection
@@ -13,7 +13,8 @@ surface is auditable: grep for ``inject(`` and compare against
 reports whether each fault was *recovered* or *surfaced* — see
 :mod:`repro.robust.faultcheck` and ``docs/ROBUSTNESS.md``.
 
-This module must stay dependency-light (errors + numpy only): the
+This module must stay dependency-light (errors, runconfig and numpy
+only): the
 instrumented packages (``fortranlib``, ``analysis``, ``codegen``,
 ``glafexec``) import it at module load.
 """
@@ -22,17 +23,17 @@ from __future__ import annotations
 
 import re
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
 from ..errors import ExecutionError, ValidationError
+from ..runconfig import current
 
 __all__ = [
     "InjectionSite", "SITES", "FaultSpec", "FaultEvent", "FaultPlan",
-    "inject", "fault_injection", "get_fault_plan",
+    "inject", "get_fault_plan",
 ]
 
 
@@ -466,34 +467,19 @@ _TRANSFORMS = {
 
 
 # ----------------------------------------------------------------------
-# the process-wide hook
+# the hook (the plan is the run configuration's ``faults``)
 # ----------------------------------------------------------------------
-_ACTIVE: FaultPlan | None = None
-
-
 def get_fault_plan() -> FaultPlan | None:
-    """The currently-installed plan (``None`` almost always)."""
-    return _ACTIVE
+    """The run's plan (``None`` almost always)."""
+    return current().faults
 
 
 def inject(site: str, payload: Any = None, **meta: object) -> Any:
-    """Fault-injection hook.  No-op unless a :func:`fault_injection` plan
-    is active; otherwise returns a replacement payload or ``None``."""
-    if _ACTIVE is None:
+    """Fault-injection hook.  No-op unless ``run_config(faults=plan)`` is
+    in force; otherwise returns a replacement payload or ``None``."""
+    plan = current().faults
+    if plan is None:
         return None
     if site not in SITES:       # keep hooks honest even in tests
         raise ValidationError(f"inject() called with unregistered site {site!r}")
-    return _ACTIVE.visit(site, payload, meta)
-
-
-@contextmanager
-def fault_injection(plan: FaultPlan) -> Iterator[FaultPlan]:
-    """Install ``plan`` for the duration of the block (plans nest; the
-    innermost wins)."""
-    global _ACTIVE
-    prev = _ACTIVE
-    _ACTIVE = plan
-    try:
-        yield plan
-    finally:
-        _ACTIVE = prev
+    return plan.visit(site, payload, meta)

@@ -139,8 +139,8 @@ def run_ir_interpreter(inp: AtmosphereInputs, *, guarded: bool | None = None,
     through :class:`GuardedRunner`, which probes every plan-parallel step
     and falls back to serial on divergence (results are bit-identical
     either way — the serial result is kept).  Otherwise the selected
-    executor runs the program: ``executor=None`` honors the process-wide
-    mode (the CLI's ``--executor`` flag), ``"interpreter"`` is the
+    executor runs the program: ``executor=None`` honors the run
+    configuration (the CLI's ``--executor`` flag), ``"interpreter"`` is the
     reference path, ``"vectorized"`` lifts loop steps to whole-grid array
     programs, ``"guarded"`` cross-checks the vectorized path against the
     interpreter."""

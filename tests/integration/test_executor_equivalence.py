@@ -31,7 +31,8 @@ from repro.core.builder import StepBuilder as SB
 from repro.errors import NumericIntegrityError
 from repro.fun3d import make_mesh
 from repro.fun3d import validation as f3v
-from repro.glafexec import get_executor, using_executor
+from repro.glafexec import get_executor
+from repro.runconfig import run_config
 from repro.sarb import make_inputs
 from repro.sarb import validation as sv
 from repro.sarb.validation import SARB_COMPARE_TOLERANCE, compare_outputs
@@ -73,7 +74,7 @@ class TestSarbEquivalence:
 
     def test_mode_selection_equals_explicit_executor(self, inputs):
         explicit = sv.run_ir_interpreter(inputs, executor="vectorized")
-        with using_executor("vectorized"):
+        with run_config(executor="vectorized"):
             via_mode = sv.run_ir_interpreter(inputs)
         for name in explicit:
             assert np.array_equal(explicit[name], via_mode[name])
@@ -120,7 +121,7 @@ def test_example_passes_under_vectorized_executor(name, capsys):
         name, EXAMPLES / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    with using_executor("vectorized"):
+    with run_config(executor="vectorized"):
         mod.main()
     assert len(capsys.readouterr().out) > 200
 
@@ -473,12 +474,12 @@ class TestSentinelParity:
 
     @pytest.mark.parametrize("executor", ["interpreter", "vectorized"])
     def test_nan_trips_identically(self, executor):
-        from repro.numeric import sentinels
+        from repro.numeric import SentinelConfig
 
         p = self._program()
         x = np.ones(5)
         x[3] = np.nan
-        with sentinels():
+        with run_config(sentinels=SentinelConfig()):
             with pytest.raises(NumericIntegrityError) as exc:
                 get_executor(executor).run(p, "f", [5, x, np.zeros(5)],
                                            sizes={"n": 5})

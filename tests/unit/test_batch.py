@@ -447,6 +447,9 @@ class TestDriverSerial:
         (o,) = res.outcomes
         assert o.status == "failed"
         assert all(f["stage"] == "lint" for f in o.failures)
+        # Each lint failure doc names its unit, so reproducer bundles
+        # built from it record the unit too.
+        assert all(f["unit"] == "race" for f in o.failures)
         assert o.artifact_sha       # artifacts still produced + digested
 
     def test_resume_short_circuits_completed_items(self, tmp_path):
@@ -530,6 +533,21 @@ class TestDriverSerial:
                                                       retries=3))
         assert a == b           # stickiness survives a jobs change
         assert a != c           # but not a different retry envelope
+
+
+class TestDriverParallel:
+    def test_parallel_items_reach_the_callers_observers(self, tmp_path):
+        # The jobs>1 pool threads run under a copy of the caller's run
+        # configuration, so every item lands in this observation.
+        from repro import observe
+
+        items = ingest_corpus(["fuzz:3:3"])
+        with observe.observed() as obs:
+            res = run_batch(items, fast_options(tmp_path, jobs=2))
+        assert res.stats["mode"] == "parallel"
+        noted = [d.function for d in obs.decisions.for_stage("batch:item")]
+        assert sorted(noted) == sorted(i.id for i in items)
+        assert obs.metrics.counter("batch.items").value == len(items)
 
 
 # ---------------------------------------------------------------------------

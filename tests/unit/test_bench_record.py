@@ -316,15 +316,16 @@ class TestRunTimed:
 
 class TestEnvironmentFingerprint:
     def test_guard_mode_is_reflected(self):
-        from repro.glafexec import guarded
+        from repro.runconfig import run_config
 
-        with guarded():
+        with run_config(guard=True):
             assert environment_fingerprint()["guard_mode"] is True
         assert environment_fingerprint()["guard_mode"] is False
 
     def test_fault_plan_is_reflected(self):
-        from repro.robust import FaultPlan, fault_injection
+        from repro.robust import FaultPlan
+        from repro.runconfig import run_config
 
-        with fault_injection(FaultPlan()):
+        with run_config(faults=FaultPlan()):
             assert environment_fingerprint()["fault_plan_active"] is True
         assert environment_fingerprint()["fault_plan_active"] is False

@@ -237,6 +237,15 @@ class TestRobustnessCli:
         assert not guard_mode()
         capsys.readouterr()
 
+    def test_guarded_and_executor_are_exclusive(self, capsys):
+        # The guard runs the interpreter itself, so it would silently
+        # drop the executor choice.
+        with pytest.raises(SystemExit) as ei:
+            main(["experiments", "C1", "--guarded",
+                  "--executor", "vectorized"])
+        assert ei.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
 
 class TestProfileFlag:
     def test_generate_profile_reports_to_stderr(self, project_file, capsys):

@@ -1,14 +1,17 @@
 """Docs stay in sync with the code they describe.
 
-Two invariants, enforced so a new CLI subcommand or package cannot land
-without its documentation:
+Invariants, enforced so a new CLI subcommand or package cannot land
+without its documentation, and a removed API cannot linger in it:
 
 * every ``repro`` subcommand registered in :func:`repro.cli.build_parser`
   is documented in ``README.md``;
 * every public package under ``src/repro/`` is mentioned in
-  ``docs/ARCHITECTURE.md``.
+  ``docs/ARCHITECTURE.md``;
+* no doc, example, script or source file names a mode toggle that
+  :func:`repro.runconfig.run_config` replaced.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -58,6 +61,33 @@ class TestReadmeCoversCli:
     def test_profile_flag_documented(self):
         readme = (REPO / "README.md").read_text()
         assert "--profile" in readme
+
+
+#: The per-setting mode setters and scoping wrappers that
+#: ``repro.runconfig.run_config`` replaced.
+DELETED_TOGGLES = re.compile(
+    r"\b(?:set_tracer|set_metrics|set_decisions|set_executor_mode|"
+    r"set_guard_mode|set_sentinel_config|using_executor|fault_injection)\b"
+    r"|\b(?:guarded|sentinels)\(")
+
+
+class TestNoDeletedToggles:
+    def test_docs_and_examples_use_run_config(self):
+        paths = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
+        for folder in ("examples", "scripts", "src"):
+            paths += sorted((REPO / folder).rglob("*.py"))
+        hits = [f"{p.relative_to(REPO)}:{n}: {line.strip()}"
+                for p in paths
+                for n, line in enumerate(p.read_text().splitlines(), 1)
+                if DELETED_TOGGLES.search(line)]
+        assert not hits, (
+            "these name a deleted mode toggle; use "
+            "repro.runconfig.run_config(...) instead:\n" + "\n".join(hits))
+
+    def test_architecture_documents_the_run_configuration(self):
+        arch = (REPO / "docs" / "ARCHITECTURE.md").read_text()
+        assert "## Run configuration" in arch
+        assert "repro.runconfig" in arch
 
 
 class TestArchitectureCoversPackages:

@@ -32,11 +32,10 @@ from repro.numeric import (
     max_abs_error,
     retry_call,
     sentinel_config,
-    sentinels,
-    set_sentinel_config,
     snapshot_max_abs_error,
     ulp_distance,
 )
+from repro.runconfig import run_config
 
 NAN = float("nan")
 INF = float("inf")
@@ -113,8 +112,8 @@ class TestCheckValue:
 class TestSentinelsContext:
     def test_install_and_restore(self):
         assert sentinel_config() is None
-        with sentinels() as cfg:
-            assert sentinel_config() is cfg
+        with run_config(sentinels=SentinelConfig()) as cfg:
+            assert sentinel_config() is cfg.sentinels
             with pytest.raises(NumericIntegrityError):
                 check_value(NAN)
         assert sentinel_config() is None
@@ -122,22 +121,17 @@ class TestSentinelsContext:
     def test_nesting_inner_wins(self):
         outer = SentinelConfig(nan=False)
         inner = SentinelConfig()
-        with sentinels(outer):
+        with run_config(sentinels=outer):
             check_value(NAN)                 # outer config ignores NaN
-            with sentinels(inner):
+            with run_config(sentinels=inner):
                 with pytest.raises(NumericIntegrityError):
                     check_value(NAN)
             assert sentinel_config() is outer
 
-    def test_set_returns_previous(self):
-        cfg = SentinelConfig()
-        assert set_sentinel_config(cfg) is None
-        assert set_sentinel_config(None) is cfg
-
     def test_trip_records_decision_and_metric(self):
         from repro.observe import observed
 
-        with observed() as obs, sentinels():
+        with observed() as obs, run_config(sentinels=SentinelConfig()):
             with pytest.raises(NumericIntegrityError):
                 check_value(NAN, function="f", step_index=1, grid="g")
         events = obs.decisions.for_stage("numeric:nan")
@@ -169,7 +163,7 @@ class TestInterpreterSentinels:
 
         a = np.ones(5)
         a[3] = NAN
-        with sentinels():
+        with run_config(sentinels=SentinelConfig()):
             with pytest.raises(NumericIntegrityError) as ei:
                 get_executor("interpreter").run(self._program(), "scale",
                                                 [5, a])
@@ -181,7 +175,7 @@ class TestInterpreterSentinels:
         from repro.glafexec import get_executor
 
         a = np.ones(5)
-        with sentinels():
+        with run_config(sentinels=SentinelConfig()):
             get_executor("interpreter").run(self._program(), "scale", [5, a])
         assert np.all(a == 2.0)
 
@@ -202,7 +196,7 @@ class TestInterpreterSentinels:
         a = np.ones(4)
         a[2] = NAN
         b = np.zeros(4)
-        with sentinels():
+        with run_config(sentinels=SentinelConfig()):
             with pytest.raises(NumericIntegrityError) as ei:
                 rt.call("copyvec", [4, a, b])
         e = ei.value

@@ -254,12 +254,12 @@ class TestObservedSession:
     def test_interpreter_mode_sarb_run_records_its_span(self):
         """The default (interpreter) IR path goes through the executor
         registry, so it is traced like ``--executor vectorized`` is."""
-        from repro.glafexec import using_executor
+        from repro.runconfig import run_config
         from repro.sarb import SarbDimensions, make_inputs
         from repro.sarb.validation import run_ir_interpreter
 
         inp = make_inputs(SarbDimensions(nv=8, nblw=2, nbsw=2))
-        with using_executor("interpreter"), observe.observed() as obs:
+        with run_config(executor="interpreter"), observe.observed() as obs:
             run_ir_interpreter(inp, guarded=False)
         runs = [s for s in obs.tracer.all_spans()
                 if s.name.startswith("exec.run.")]

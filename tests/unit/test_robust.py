@@ -24,7 +24,6 @@ from repro.glafexec import (
     ExecutionContext,
     GuardedRunner,
     guard_mode,
-    guarded,
     get_executor,
     guarded_python_run,
 )
@@ -35,11 +34,11 @@ from repro.robust import (
     FaultPlan,
     FaultSpec,
     ResourceLimits,
-    fault_injection,
     get_fault_plan,
     inject,
     wall_clock_guard,
 )
+from repro.runconfig import run_config
 
 
 def _program():
@@ -110,15 +109,15 @@ class TestFaultPlan:
         assert inject("exec.interp.step", function="f") is None
 
     def test_unregistered_site_caught_under_active_plan(self):
-        with fault_injection(FaultPlan()):
+        with run_config(faults=FaultPlan()):
             with pytest.raises(ValidationError, match="unregistered site"):
                 inject("typo.site")
 
     def test_plans_nest_and_uninstall(self):
         outer, inner = FaultPlan(), FaultPlan()
-        with fault_injection(outer):
+        with run_config(faults=outer):
             assert get_fault_plan() is outer
-            with fault_injection(inner):
+            with run_config(faults=inner):
                 assert get_fault_plan() is inner
             assert get_fault_plan() is outer
         assert get_fault_plan() is None
@@ -173,7 +172,7 @@ class TestFaultPlan:
 
     def test_fired_fault_lands_in_decision_log(self):
         plan = FaultPlan([FaultSpec("exec.interp.step", "raise")])
-        with observe.observed() as obs, fault_injection(plan):
+        with observe.observed() as obs, run_config(faults=plan):
             with pytest.raises(ExecutionError):
                 inject("exec.interp.step", function="f", step=3)
         entries = obs.decisions.for_stage("fault")
@@ -195,7 +194,7 @@ class TestGuardedRunner:
         plan = FaultPlan([FaultSpec("analysis.parallelize.verdict",
                                     "misparallelize",
                                     match={"function": "work"})])
-        with fault_injection(plan):
+        with run_config(faults=plan):
             run = GuardedRunner(_program()).run("work", [N], sizes={"n": N})
         assert plan.fired, "fault must actually fire"
         assert run.fell_back
@@ -207,7 +206,7 @@ class TestGuardedRunner:
     def test_probe_execution_error_demotes_and_recovers(self):
         plan = FaultPlan([FaultSpec("exec.interp.step", "raise",
                                     match={"parallel": True})])
-        with fault_injection(plan):
+        with run_config(faults=plan):
             run = GuardedRunner(_program()).run("work", [N], sizes={"n": N})
         assert run.fell_back and ("work", 0) in run.demoted
         assert "ExecutionError" in run.events[0].reason
@@ -216,7 +215,7 @@ class TestGuardedRunner:
     def test_demotion_recorded_in_decision_log_and_metrics(self):
         plan = FaultPlan([FaultSpec("exec.interp.step", "raise",
                                     match={"parallel": True})])
-        with observe.observed() as obs, fault_injection(plan):
+        with observe.observed() as obs, run_config(faults=plan):
             GuardedRunner(_program()).run("work", [N], sizes={"n": N})
         guard = obs.decisions.for_stage("guard")
         assert len(guard) == 1 and guard[0].verdict == "serial-fallback"
@@ -226,7 +225,7 @@ class TestGuardedRunner:
         program = _program()
         plan = FaultPlan([FaultSpec("exec.interp.step", "raise",
                                     match={"parallel": True})])
-        with fault_injection(plan):
+        with run_config(faults=plan):
             run = GuardedRunner(program).run("work", [N], sizes={"n": N})
         demoted = run.demoted_plan()
         for key in run.demoted:
@@ -241,9 +240,9 @@ class TestGuardedRunner:
 
     def test_guard_mode_context_manager(self):
         assert not guard_mode()
-        with guarded():
+        with run_config(guard=True):
             assert guard_mode()
-            with guarded(enabled=False):
+            with run_config(guard=False):
                 assert not guard_mode()
             assert guard_mode()
         assert not guard_mode()
@@ -261,7 +260,7 @@ class TestGuardedPythonRun:
 
     def test_perturbed_module_falls_back_to_interpreter(self):
         plan = FaultPlan([FaultSpec("codegen.python.assign", "perturb")])
-        with fault_injection(plan):
+        with run_config(faults=plan):
             res = guarded_python_run(_program(), "work", [N], sizes={"n": N},
                                      compare=["v"])
         assert plan.fired
@@ -270,7 +269,7 @@ class TestGuardedPythonRun:
 
     def test_fallback_recorded_in_decision_log(self):
         plan = FaultPlan([FaultSpec("codegen.python.assign", "perturb")])
-        with observe.observed() as obs, fault_injection(plan):
+        with observe.observed() as obs, run_config(faults=plan):
             guarded_python_run(_program(), "work", [N], sizes={"n": N},
                                compare=["v"])
         guard = obs.decisions.for_stage("guard")
@@ -333,7 +332,7 @@ class TestWatchdog:
     def test_interpreter_wall_clock_with_injected_stall(self):
         plan = FaultPlan([FaultSpec("exec.interp.iter", "delay",
                                     param=0.2, max_fires=10)])
-        with fault_injection(plan):
+        with run_config(faults=plan):
             with pytest.raises(ResourceLimitError, match="wall-clock"):
                 get_executor(
                     "interpreter",

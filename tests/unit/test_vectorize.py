@@ -29,10 +29,8 @@ from repro.glafexec import (
     get_executor,
     guarded_vectorized_run,
     liftability_report,
-    set_executor_mode,
-    using_executor,
 )
-from repro.glafexec.executor import _initial_mode
+from repro.runconfig import _initial_executor, run_config
 
 
 def _step(program, fn_name, idx=0):
@@ -257,7 +255,8 @@ class TestExecutorSelection:
         with pytest.raises(ExecutionError, match="unknown executor"):
             get_executor("turbo")
         with pytest.raises(ExecutionError, match="unknown executor"):
-            set_executor_mode("turbo")
+            with run_config(executor="turbo"):
+                pass
 
     def test_mode_trio_and_restore(self):
         # The initial mode depends on REPRO_EXECUTOR (the CI vectorized
@@ -265,29 +264,25 @@ class TestExecutorSelection:
         initial = executor_mode()
         assert initial in EXECUTOR_NAMES
         target = "vectorized" if initial != "vectorized" else "interpreter"
-        prev = set_executor_mode(target)
-        assert prev == initial
-        try:
+        with run_config(executor=target):
             assert executor_mode() == target
-            with using_executor("guarded"):
+            with run_config(executor="guarded"):
                 assert executor_mode() == "guarded"
             assert executor_mode() == target
-        finally:
-            set_executor_mode(prev)
         assert executor_mode() == initial
 
     def test_env_var_sets_initial_mode(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "vectorized")
-        assert _initial_mode() == "vectorized"
+        assert _initial_executor() == "vectorized"
         monkeypatch.setenv("REPRO_EXECUTOR", "bogus")
-        assert _initial_mode() == "interpreter"
+        assert _initial_executor() == "interpreter"
         monkeypatch.delenv("REPRO_EXECUTOR")
-        assert _initial_mode() == "interpreter"
+        assert _initial_executor() == "interpreter"
 
     def test_get_executor_defaults_to_mode(self):
         from repro.glafexec.executor import VectorizedExecutor
 
-        with using_executor("vectorized"):
+        with run_config(executor="vectorized"):
             assert isinstance(get_executor(), VectorizedExecutor)
 
 
@@ -348,7 +343,7 @@ class TestFortranSemantics:
         assert np.array_equal(q, q2) and np.array_equal(r, r2)
 
     def test_sentinel_trip_raises_through_lifted_step(self):
-        from repro.numeric import sentinels
+        from repro.numeric import SentinelConfig
 
         def body(f):
             s = f.step("pw")
@@ -358,7 +353,7 @@ class TestFortranSemantics:
         p = _build(body)
         x = np.ones(4)
         x[2] = np.nan
-        with sentinels():
+        with run_config(sentinels=SentinelConfig()):
             with pytest.raises(NumericIntegrityError) as exc:
                 get_executor("vectorized").run(p, "f", [4, x, np.zeros(4)],
                                                sizes={"n": 4})
@@ -422,7 +417,7 @@ class TestFallback:
 
     def test_faults_active_disables_lifting(self):
         from repro import observe
-        from repro.robust import FaultPlan, fault_injection
+        from repro.robust import FaultPlan
 
         def body(f):
             s = f.step("pw")
@@ -432,7 +427,7 @@ class TestFallback:
         p = _build(body)
         y = np.zeros(3)
         with observe.observed() as obs:
-            with fault_injection(FaultPlan([], seed=0)):
+            with run_config(faults=FaultPlan([], seed=0)):
                 get_executor("vectorized").run(p, "f", [3, np.ones(3), y],
                                                sizes={"n": 3})
         assert np.array_equal(y, [2.0, 2.0, 2.0])
