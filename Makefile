@@ -44,7 +44,8 @@ batch:
 # the reference interpreter, once with REPRO_EXECUTOR=vectorized so the
 # array executor serves every interpreter-mode run — docs/EXECUTORS.md),
 # lint gate, fault sweep (includes the numeric.sentinel scenario), the
-# fixed-seed differential fuzz campaign (docs/FUZZING.md), the
+# C1/C2 side-by-side experiments under the divergence guard
+# (docs/EXECUTORS.md), the fixed-seed differential fuzz campaign (docs/FUZZING.md), the
 # crash-isolated batch-compiler smoke (docs/BATCH.md), the
 # resume-integrity smoke (kill a bench recording *and* a batch
 # campaign, resume both, verify digests — docs/NUMERICS.md,
@@ -59,6 +60,7 @@ ci: lint batch
 	REPRO_EXECUTOR=vectorized PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	PYTHONPATH=src $(PYTHON) -m repro runs selftest
 	PYTHONPATH=src $(PYTHON) -m repro faultcheck
+	PYTHONPATH=src $(PYTHON) -m repro experiments C1 C2 --executor guarded
 	PYTHONPATH=src $(PYTHON) -m repro fuzz --seed 7 --count 25 --profile small --crosscheck --json fuzz_report.json
 	$(PYTHON) scripts/resume_smoke.py
 	PYTHONPATH=src $(PYTHON) -m repro bench record --repeats 3 --out BENCH_ci.json

@@ -95,13 +95,13 @@ def _git_sha() -> tuple[str, str]:
 def environment_fingerprint() -> dict[str, object]:
     """Everything a reader needs to judge whether two artifacts are
     comparable: interpreter, libraries, host, tree state, and the flags
-    that change what the experiments execute (guard mode, fault plans,
+    that change what the experiments execute (executor, fault plans,
     simulated-machine constants).  When a probe could not establish a
     field, ``degraded`` lists the reasons, so ``unknown`` values carry
     their cause into the artifact."""
     import numpy as np
 
-    from ..glafexec import executor_mode, guard_mode
+    from ..glafexec import executor_mode
     from ..perf import machine_fingerprint
     from ..robust import get_fault_plan
 
@@ -112,7 +112,6 @@ def environment_fingerprint() -> dict[str, object]:
         "platform": platform.platform(),
         "cpu_count": os.cpu_count() or 1,
         "git_sha": sha,
-        "guard_mode": guard_mode(),
         "executor": executor_mode(),
         "fault_plan_active": get_fault_plan() is not None,
         "machines": machine_fingerprint(),

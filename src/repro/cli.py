@@ -15,9 +15,9 @@
 * ``profile PROJECT.json`` — run the whole pipeline under the
   :mod:`repro.observe` tracer and print the per-stage timing tree, the
   metrics, and the parallelization decision log (``--json FILE`` exports
-  the trace document; see ``docs/OBSERVABILITY.md``).  With ``--guarded``
-  the project's case-study workload is also executed under the
-  :class:`repro.glafexec.GuardedRunner`, so guard demotions show up in the
+  the trace document; see ``docs/OBSERVABILITY.md``).  With ``--executor
+  NAME`` the project's case-study workload is also executed under that
+  executor — ``--executor guarded`` makes guard demotions show up in the
   decision log; ``--fault SITE:KIND[:FUNCTION]`` (repeatable) injects
   seeded faults first (see ``docs/ROBUSTNESS.md``).
 * ``faultcheck`` — sweep every registered fault-injection site and report
@@ -63,16 +63,15 @@
 ``experiments`` and ``generate`` also accept ``--profile [FILE]``: with no
 argument the observability report is printed to stderr after the normal
 output; with a file argument the JSON trace is written there instead.
-``experiments --guarded`` routes the case-study interpreter runs through
-guarded execution with serial fallback, ``experiments --json FILE``
-writes the machine-readable tables (``ExperimentResult.to_json``),
-``--sentinels`` screens every interpreter assignment for NaN/Inf/overflow
-(``docs/NUMERICS.md``), and ``--resume`` continues an interrupted sweep
-from its per-case checkpoints.  ``experiments``, ``profile``, and
+``experiments --json FILE`` writes the machine-readable tables
+(``ExperimentResult.to_json``), ``--sentinels`` screens every interpreter
+assignment for NaN/Inf/overflow (``docs/NUMERICS.md``), and ``--resume``
+continues an interrupted sweep from its per-case checkpoints.  ``experiments``, ``profile``, and
 ``bench record`` accept ``--executor {interpreter,vectorized,guarded}``
 to choose the IR execution engine (``docs/EXECUTORS.md``): the reference
 interpreter, the vectorized whole-grid array executor, or the guarded
-executor that cross-checks the two with serial fallback.
+executor, which probes every plan-parallel step in shuffled order and
+demotes a diverging step to serial.
 
 Every pipeline entry point (``experiments``, ``generate``, ``profile``,
 ``faultcheck``, ``lint``, ``fuzz``, ``bench record``) also records
@@ -140,8 +139,8 @@ def _add_executor_flag(sub) -> None:
         default=None,
         help="IR execution engine (docs/EXECUTORS.md): the reference "
              "interpreter, the vectorized array executor, or the guarded "
-             "executor that cross-checks the two (default: interpreter, "
-             "or $REPRO_EXECUTOR)",
+             "interpreter that probes every parallel step (default: "
+             "interpreter, or $REPRO_EXECUTOR)",
     )
 
 
@@ -154,12 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiments", help="run paper experiments")
     exp.add_argument("ids", nargs="*", help="experiment ids (default: all)")
-    # The guard runs the interpreter itself, so it cannot honor --executor.
-    engine = exp.add_mutually_exclusive_group()
-    engine.add_argument("--guarded", action="store_true",
-                        help="run interpreter workloads under the divergence "
-                             "guard (serial fallback on mis-parallelization)")
-    _add_executor_flag(engine)
+    _add_executor_flag(exp)
     exp.add_argument("--sentinels", action="store_true",
                      help="screen every interpreter assignment for NaN/Inf/"
                           "overflow; abort with a typed error on the first "
@@ -331,9 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--chrome", dest="chrome_path", metavar="FILE",
                       help="also write the trace in Chrome trace-event "
                            "format (open in chrome://tracing or Perfetto)")
-    prof.add_argument("--guarded", action="store_true",
-                      help="also execute the project's case-study workload "
-                           "under the divergence guard")
     prof.add_argument("--fault", action="append", default=[],
                       metavar="SITE:KIND[:FUNCTION]",
                       help="inject a fault before running (repeatable); "
@@ -514,8 +505,7 @@ def _cmd_experiments(args) -> int:
         store.clear()          # stale checkpoints must not skip fresh work
     results = []
     resumed = 0
-    with run_config(**_run_changes(args),
-                    guard=bool(getattr(args, "guarded", False))):
+    with run_config(**_run_changes(args)):
         for exp_id in ids:
             done = (store.load(f"exp-{exp_id}", discard_corrupt=True)
                     if resume else None)
@@ -661,17 +651,12 @@ def _cmd_profile(args) -> int:
         with observe.get_tracer().span("pipeline", project=args.project,
                                        variant=args.variant):
             program = _load_program(args.project)
-            if args.guarded:
-                # Execute the case-study workload under the divergence
-                # guard first, so an injected mis-parallelization is both
-                # caused and recovered inside this one profiled run.
-                from .robust.scenarios import scenario_for
-
-                scenario_for(program.name).run_guarded()
             if getattr(args, "executor", None):
                 # Run the case-study workload under the chosen executor so
-                # exec.run.* spans and executor:fallback decisions land in
-                # this profile (docs/EXECUTORS.md).
+                # exec.run.* spans and executor:fallback / guard decisions
+                # land in this profile (docs/EXECUTORS.md); under
+                # ``guarded`` an injected mis-parallelization is both
+                # caused and recovered inside this one profiled run.
                 from .robust.scenarios import scenario_for
 
                 scenario_for(program.name).run_executor(args.executor)

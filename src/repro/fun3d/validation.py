@@ -13,13 +13,7 @@ import numpy as np
 
 from ..codegen.fortran import FortranGenerator
 from ..fortranlib import FortranRuntime
-from ..glafexec import (
-    ExecutionContext,
-    GeneratedModule,
-    GuardedRunner,
-    get_executor,
-    guard_mode,
-)
+from ..glafexec import ExecutionContext, GeneratedModule, get_executor
 from ..integration import LegacyCodebase, splice_into_codebase
 from ..numeric import RmsPolicy
 from ..optimize.plan import Tweaks, make_plan
@@ -55,22 +49,18 @@ def run_reference(mesh: TetMesh) -> np.ndarray:
 
 
 def run_ir_interpreter(mesh: TetMesh, *, save_inner_arrays: bool = False,
-                       guarded: bool | None = None,
+                       guarded: bool = False,
                        executor: str | None = None) -> np.ndarray:
-    """Run through the IR execution pipeline; under ``--guarded`` (or
-    explicit ``guarded=True``) execution goes through :class:`GuardedRunner`
-    with per-step divergence probes and serial fallback.  Otherwise the
-    selected executor runs the program (``executor=None`` honors the run
-    configuration's ``executor``, the CLI's ``--executor`` flag)."""
+    """Run through the IR execution pipeline under the selected executor
+    (``executor=None`` honors the run configuration's ``executor``, the
+    CLI's ``--executor`` flag; ``guarded=True`` means ``executor="guarded"``,
+    per-step divergence probes with serial fallback)."""
     program = build_fun3d_program()
     ctx = ExecutionContext(program, sizes=mesh_sizes(mesh),
                            values=context_values(mesh))
-    args = [mesh.ncell, mesh.nnz]
-    if guard_mode() if guarded is None else guarded:
-        GuardedRunner(program).run("edgejp", args, context=ctx)
-    else:
-        get_executor(executor, save_inner_arrays=save_inner_arrays).run(
-            program, "edgejp", args, context=ctx)
+    get_executor("guarded" if guarded else executor,
+                 save_inner_arrays=save_inner_arrays).run(
+        program, "edgejp", [mesh.ncell, mesh.nnz], context=ctx)
     return ctx.get("jac").copy()
 
 

@@ -14,14 +14,9 @@ from .executor import (
 )
 from .guard import (
     GuardedInterpreter,
-    GuardedRun,
-    GuardedRunner,
     GuardEvent,
     PythonGuardResult,
-    VectorizedGuardResult,
-    guard_mode,
     guarded_python_run,
-    guarded_vectorized_run,
 )
 from .interp import ExecStats, Interpreter
 from .runner import GeneratedModule, run_generated_python
@@ -44,9 +39,8 @@ __all__ = [
     "ExecStats", "Interpreter",
     "GeneratedModule", "run_generated_python",
     "ParallelValidation", "ShuffledInterpreter", "validate_parallel_semantics",
-    "GuardEvent", "GuardedInterpreter", "GuardedRun", "GuardedRunner",
-    "PythonGuardResult", "VectorizedGuardResult", "guard_mode",
-    "guarded_python_run", "guarded_vectorized_run",
+    "GuardEvent", "GuardedInterpreter", "PythonGuardResult",
+    "guarded_python_run",
     "EXECUTOR_NAMES", "Executor", "ExecutorRun", "GuardedExecutor",
     "InterpreterExecutor", "VectorizedExecutor", "executor_mode",
     "get_executor",

@@ -11,10 +11,11 @@ Three interchangeable back ends run a program's entry point against an
     steps run as whole-grid NumPy array programs; everything else falls back
     to the interpreter per step (recorded as ``executor:fallback`` events).
 ``guarded``
-    :func:`~repro.glafexec.guard.guarded_vectorized_run` — the vectorized
-    path runs on a cloned context and is cross-checked against the
-    interpreter under a tolerance policy; the interpreter's result is
-    always the one kept.
+    :class:`~repro.glafexec.guard.GuardedInterpreter` — the divergence
+    guard: the interpreter, with every step the ``GLAF-parallel v0`` plan
+    marks parallel first probed in a shuffled iteration order; a probe
+    that diverges demotes its step to serial (``guard:serial-fallback``).
+    The serial result is always the one kept.
 
 Selection is either explicit (:func:`get_executor`) or through the run
 configuration's ``executor`` (``run_config(executor=...)``, set by the
@@ -25,15 +26,16 @@ leg; see :mod:`repro.runconfig`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..core.function import GlafProgram
 from ..errors import ExecutionError
+from ..optimize.plan import make_plan
 from ..robust import ResourceLimits
 from ..runconfig import EXECUTOR_NAMES, current
 from .context import ExecutionContext
-from .guard import DEFAULT_GUARD_TOLERANCE, VectorizedGuardResult, guarded_vectorized_run
+from .guard import GUARD_VARIANT, GuardedInterpreter, GuardEvent
 from .interp import Interpreter
 from .vectorize import FallbackEvent, VectorizedInterpreter
 
@@ -52,7 +54,10 @@ class ExecutorRun:
     context: ExecutionContext
     executor: str
     fallbacks: tuple[FallbackEvent, ...] = ()
-    guard: VectorizedGuardResult | None = None
+    #: the ``guarded`` executor's serial-fallback demotions, and the
+    #: ``(function, step index)`` keys they demoted
+    events: tuple[GuardEvent, ...] = ()
+    demoted: frozenset[tuple[str, int]] = frozenset()
 
 
 class Executor:
@@ -121,31 +126,26 @@ class VectorizedExecutor(Executor):
 
 
 class GuardedExecutor(Executor):
-    """Vectorized execution cross-checked against the interpreter.
-
-    The vectorized probe runs on a clone of the context; the interpreter
-    then runs on the real one, so the kept state is always the reference
-    result — divergence only decides whether a ``guard:serial-fallback``
-    event is recorded (via the PR-5 tolerance policies).
-    """
+    """The divergence guard (:class:`GuardedInterpreter`) on the caller's
+    context: plan-parallel steps are probed in shuffled order, and a probe
+    that diverges demotes its step to serial for the rest of the run."""
 
     name = "guarded"
 
-    def __init__(self, *, tolerance: float = DEFAULT_GUARD_TOLERANCE,
-                 policy: str = "abs", **kw: Any):
-        super().__init__(**kw)
-        self.tolerance = tolerance
-        self.policy = policy
-
     def run(self, program, entry, args=(), *, sizes=None, values=None,
             context=None) -> ExecutorRun:
+        from ..observe import get_tracer
+
         ctx = self._context(program, sizes, values, context)
-        res = guarded_vectorized_run(
-            program, entry, args, context=ctx,
-            tolerance=self.tolerance, policy=self.policy, limits=self.limits)
-        return ExecutorRun(result=res.result, context=res.context,
-                           executor=self.name, fallbacks=res.fallbacks,
-                           guard=res)
+        interp = GuardedInterpreter(
+            program, ctx, make_plan(program, GUARD_VARIANT),
+            save_inner_arrays=self.save_inner_arrays, limits=self.limits)
+        with get_tracer().span("exec.run.guarded", entry=entry,
+                               program=program.name):
+            result = interp.call(entry, list(args))
+        return ExecutorRun(result=result, context=ctx, executor=self.name,
+                           events=tuple(interp.events),
+                           demoted=frozenset(interp.demoted))
 
 
 _EXECUTORS: dict[str, type[Executor]] = {

@@ -15,7 +15,6 @@ so comparisons use a tight tolerance rather than exact equality.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -24,6 +23,7 @@ import numpy as np
 from ..core.function import GlafProgram
 from ..core.step import ExitLoop, Return, Step, walk_stmts
 from ..errors import ExecutionError
+from ..numeric import snapshot_max_abs_error
 from ..optimize.plan import OptimizationPlan
 from ..robust import faults as _faults
 from .context import ExecutionContext
@@ -42,14 +42,17 @@ class ShuffledInterpreter(Interpreter):
         self.rng = np.random.default_rng(seed)
         self.shuffled_steps: list[tuple[str, int]] = []
 
+    def _reorders(self, function: str, idx: int, step: Step) -> bool:
+        """True when ``step`` runs out of order: a plan-parallel loop
+        without early exits.  Early-exit loops keep their order even when
+        parallel (the CRITICAL protocol preserves a deterministic winner
+        only with extra machinery; GLAF serializes the decision)."""
+        return (self.plan.step_is_parallel(function, idx) and step.is_loop
+                and not any(isinstance(s, (Return, ExitLoop))
+                            for s in walk_stmts(step.stmts)))
+
     def _exec_step(self, frame, idx: int, step: Step) -> None:
-        parallel = self.plan.step_is_parallel(frame.fn.name, idx) and step.is_loop
-        has_exit = any(isinstance(s, (Return, ExitLoop))
-                       for s in walk_stmts(step.stmts))
-        if not parallel or has_exit:
-            # Early-exit loops keep their order even when parallel (the
-            # CRITICAL protocol preserves a deterministic winner only with
-            # extra machinery; GLAF serializes the decision).
+        if not self._reorders(frame.fn.name, idx, step):
             super()._exec_step(frame, idx, step)
             return
 
@@ -147,10 +150,9 @@ def validate_parallel_semantics(
         interp = ShuffledInterpreter(program, ctx, plan, seed=seed)
         interp.call(entry, make_args())
         shuffled_steps = interp.shuffled_steps
-        for name, arr in ctx.snapshot(compare).items():
-            err = float(np.max(np.abs(np.asarray(arr, dtype=np.float64)
-                                      - np.asarray(ref[name], dtype=np.float64))))
-            worst = max(worst, err)
+        # NaN-aware: a NaN on either side is an infinite error, never a
+        # silent agreement.
+        worst = max(worst, snapshot_max_abs_error(ctx.snapshot(compare), ref))
     return ParallelValidation(
         entry=entry,
         shuffled_steps=sorted(set(shuffled_steps)),

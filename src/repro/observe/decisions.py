@@ -34,8 +34,11 @@ Stages and their verdict vocabularies:
 ``cache:corrupt-entry``  ``discarded``
 =======================  ============================================
 
-The ``guard`` stage is emitted by :class:`repro.glafexec.GuardedRunner`
-when a divergence guard demotes a parallel step to serial; the ``fault``
+The ``guard`` stage is emitted by the ``guarded`` executor
+(:class:`repro.glafexec.GuardedInterpreter`) when its divergence probe
+demotes a parallel step to serial, and by
+:func:`repro.glafexec.guarded_python_run` when it falls back from the
+generated Python to the interpreter; the ``fault``
 stage is emitted by :mod:`repro.robust.faults` whenever an injected fault
 fires, so a profiled fault-injection run shows cause and recovery side by
 side.  The ``lint:<rule>`` stages (one per rule id in

@@ -361,8 +361,7 @@ def diff_runs(a: dict, b: dict) -> str:
         for name in changed:
             lines.append(f"  {name:<40s} {ca.get(name, 0):>8} -> "
                          f"{cb.get(name, 0):>8}")
-    env_keys = ("python", "numpy", "platform", "git_sha", "executor",
-                "guard_mode")
+    env_keys = ("python", "numpy", "platform", "git_sha", "executor")
     env_diffs = [(k, a.get("environment", {}).get(k),
                   b.get("environment", {}).get(k))
                  for k in env_keys

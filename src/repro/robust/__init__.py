@@ -16,11 +16,12 @@ half of that contract (see ``docs/ROBUSTNESS.md``):
 * :mod:`repro.robust.faultcheck` — the ``repro faultcheck`` sweep: fire
   every registered fault and verify each one is either *recovered* (serial
   fallback with a DecisionLog event) or *surfaced* as a typed GlafError;
-* :mod:`repro.robust.scenarios` — executable workloads for the guarded
-  CLI paths (imported lazily; see below).
+* :mod:`repro.robust.scenarios` — executable case-study workloads for
+  ``repro profile --executor`` and the sweep (imported lazily; see below).
 
-The divergence guard itself (:class:`repro.glafexec.GuardedRunner`) lives
-in :mod:`repro.glafexec` next to the interpreter it wraps.
+The divergence guard itself (the ``guarded`` executor,
+:class:`repro.glafexec.GuardedInterpreter`) lives in :mod:`repro.glafexec`
+next to the interpreter it wraps.
 
 This ``__init__`` imports only the dependency-light legs (``faults``,
 ``watchdog``) because the instrumented modules (``fortranlib``,

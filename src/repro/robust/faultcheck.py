@@ -149,7 +149,8 @@ def _check_lexer(seed: int) -> SiteResult:
 
 
 def _check_guarded(site: str, kind: str, spec: FaultSpec, seed: int) -> SiteResult:
-    """Shared harness: SARB under GuardedRunner must demote and still match."""
+    """Shared harness: SARB under the guarded executor must demote and
+    still match."""
     from ..observe import observed
     from .scenarios import scenario_for
 
@@ -157,7 +158,7 @@ def _check_guarded(site: str, kind: str, spec: FaultSpec, seed: int) -> SiteResu
     ref = scenario.reference()
     plan = FaultPlan([spec], seed=seed)
     with observed(), run_config(faults=plan):
-        run = scenario.run_guarded(tolerance=_TOLERANCE)
+        run = scenario.run_executor("guarded")
     if not plan.fired:
         return SiteResult(site, kind, "failed", "fault never fired", 0, 0)
     if not run.events:
@@ -192,7 +193,7 @@ def _check_codegen(seed: int) -> SiteResult:
     with observed(), run_config(faults=plan):
         result = guarded_python_run(
             program, scenario.entry, args, sizes=sizes, values=values,
-            compare=list(compare), tolerance=_TOLERANCE)
+            compare=list(compare))
     if not plan.fired:
         return SiteResult(site, kind, "failed", "fault never fired", 0, 0)
     if not result.fell_back:

@@ -3,7 +3,7 @@
 An :class:`ExecScenario` bundles what the robustness tooling needs to run
 one paper workload end to end: how to build the GLAF program, the entry
 point with its arguments/sizes/values, and which global grids constitute
-the observable output.  ``repro profile --guarded`` and the
+the observable output.  ``repro profile --executor`` and the
 ``repro faultcheck`` sweep both resolve workloads through
 :func:`scenario_for`.
 
@@ -40,16 +40,6 @@ class ExecScenario:
     def setup(self) -> tuple:
         """``(program, args, sizes, values, compare_grids)`` for one run."""
         return self._setup()
-
-    def run_guarded(self, *, seed: int = 1, tolerance: float = 1e-9,
-                    limits=None):
-        """Run under :class:`repro.glafexec.GuardedRunner`."""
-        from ..glafexec import GuardedRunner
-
-        program, args, sizes, values, _ = self.setup()
-        runner = GuardedRunner(program, seed=seed, tolerance=tolerance,
-                               limits=limits)
-        return runner.run(self.entry, args, sizes=sizes, values=values)
 
     def run_executor(self, executor: str, **kwargs):
         """Run under a named executor (``docs/EXECUTORS.md``)."""

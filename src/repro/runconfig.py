@@ -1,7 +1,7 @@
 """One immutable run configuration, carried in a context variable.
 
 Everything that changes *how* the pipeline runs — which observers record
-it, which executor runs the IR, whether the divergence guard is on, the
+it, which executor runs the IR (``guarded`` is the divergence guard), the
 fault plan, the numeric sentinels — is one frozen :class:`RunConfig`.
 :func:`current` reads it; ``with run_config(**changes)`` installs a copy
 with ``changes`` applied for the block and restores the previous one on
@@ -48,8 +48,7 @@ class RunConfig:
 
     ``tracer`` / ``metrics`` / ``decisions`` are the observers (``None``:
     the shared no-ops of :mod:`repro.observe`); ``executor`` names the IR
-    engine; ``guard`` routes the case-study interpreter runs through the
-    divergence guard; ``faults`` is the active
+    engine; ``faults`` is the active
     :class:`repro.robust.FaultPlan` and ``sentinels`` the active
     :class:`repro.numeric.SentinelConfig` (``None``: off).
     """
@@ -58,7 +57,6 @@ class RunConfig:
     metrics: Any = None
     decisions: Any = None
     executor: str = "interpreter"
-    guard: bool = False
     faults: Any = None
     sentinels: Any = None
 

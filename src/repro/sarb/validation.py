@@ -21,13 +21,7 @@ import numpy as np
 
 from ..codegen.fortran import FortranGenerator
 from ..fortranlib import FortranRuntime
-from ..glafexec import (
-    ExecutionContext,
-    GeneratedModule,
-    GuardedRunner,
-    get_executor,
-    guard_mode,
-)
+from ..glafexec import ExecutionContext, GeneratedModule, get_executor
 from ..errors import NumericIntegrityError
 from ..integration import LegacyCodebase, check_program, splice_into_codebase
 from ..numeric import ComparisonResult, get_policy
@@ -131,27 +125,22 @@ def _context_values(inp: AtmosphereInputs) -> dict[str, np.ndarray]:
     }
 
 
-def run_ir_interpreter(inp: AtmosphereInputs, *, guarded: bool | None = None,
+def run_ir_interpreter(inp: AtmosphereInputs, *, guarded: bool = False,
                        executor: str | None = None) -> dict[str, np.ndarray]:
-    """Run through the IR execution pipeline.
+    """Run through the IR execution pipeline under the selected executor.
 
-    Under ``--guarded`` (or explicit ``guarded=True``) execution goes
-    through :class:`GuardedRunner`, which probes every plan-parallel step
-    and falls back to serial on divergence (results are bit-identical
-    either way — the serial result is kept).  Otherwise the selected
-    executor runs the program: ``executor=None`` honors the run
-    configuration (the CLI's ``--executor`` flag), ``"interpreter"`` is the
-    reference path, ``"vectorized"`` lifts loop steps to whole-grid array
-    programs, ``"guarded"`` cross-checks the vectorized path against the
-    interpreter."""
+    ``executor=None`` honors the run configuration (the CLI's
+    ``--executor`` flag); ``"interpreter"`` is the reference path,
+    ``"vectorized"`` lifts loop steps to whole-grid array programs, and
+    ``"guarded"`` probes every plan-parallel step and falls back to serial
+    on divergence (results are bit-identical to the interpreter's — the
+    serial result is kept).  ``guarded=True`` means ``executor="guarded"``.
+    """
     program = build_sarb_program(inp.dims)
     ctx = ExecutionContext(program, values=_context_values(inp))
     args = [inp.dims.nv, inp.dims.nblw, inp.dims.nbsw]
-    if guard_mode() if guarded is None else guarded:
-        GuardedRunner(program).run("entropy_interface", args, context=ctx)
-    else:
-        get_executor(executor).run(program, "entropy_interface", args,
-                                   context=ctx)
+    get_executor("guarded" if guarded else executor).run(
+        program, "entropy_interface", args, context=ctx)
     return {n: ctx.get(n).copy() for n in OUTPUT_NAMES}
 
 

@@ -345,10 +345,9 @@ class TestResourceExhaustion:
             ("shift", ("resource budget exhausted mid-lift",))]
 
     def test_guarded_probe_trip_leaves_callers_arrays_untouched(self):
-        # The probe runs on copies: even though its first step completed
-        # before the budget tripped, none of its writes may leak into the
-        # arrays the caller (and the authoritative interpreter run)
-        # owns.
+        # The budget trips halfway through the shuffled probe of the first
+        # step: the probe is rolled back before the error propagates, so
+        # none of its writes may leak into the arrays the caller owns.
         from repro.errors import ResourceLimitError
         from repro.robust import ResourceLimits
 
@@ -356,7 +355,7 @@ class TestResourceExhaustion:
         x = _x()
         y = np.zeros(N)
         ex = get_executor("guarded",
-                          limits=ResourceLimits(max_loop_iterations=N))
+                          limits=ResourceLimits(max_loop_iterations=N // 2))
         with pytest.raises(ResourceLimitError):
             ex.run(p, "f", [N, x, y], sizes={"n": N})
         assert np.array_equal(y, np.zeros(N))
@@ -440,8 +439,8 @@ class TestResourceExhaustion:
         assert np.array_equal(y, x * 2.0)
 
     def test_guarded_probe_writes_never_pollute_reference_inputs(self):
-        # Accumulating kernel: if the probe shared the caller's arrays,
-        # the authoritative interpreter run would start from the probe's
+        # Accumulating kernel: if the probe's writes were not rolled back,
+        # the authoritative serial run would start from the probe's
         # result and double-count.
         def body(f):
             s = f.step("acc")

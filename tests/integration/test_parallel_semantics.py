@@ -110,3 +110,26 @@ class TestNegativeControl:
         ctx2 = ExecutionContext(program, sizes={"n": 16})
         ShuffledInterpreter(program, ctx2, plan, seed=5).call("prefix", [16, a_shuf])
         assert not np.allclose(a_seq, a_shuf)
+
+    def test_nan_output_is_never_agreement(self):
+        """A parallel step writing ``x/x`` on zeros leaves all-NaN output in
+        both runs; NaN must count as divergence, not as zero error."""
+        b = GlafBuilder("nan")
+        b.global_grid("x", T_REAL8, dims=("n",), module_scope=True)
+        b.global_grid("y", T_REAL8, dims=("n",), module_scope=True)
+        m = b.module("M")
+        f = m.function("ratio", return_type=T_VOID)
+        f.param("n", T_INT, intent="in")
+        s = f.step("div")
+        s.foreach(i=(1, "n"))
+        s.formula(ref("y", I("i")), ref("x", I("i")) / ref("x", I("i")))
+        program = b.build()
+        plan = make_plan(program, "GLAF-parallel v0")
+        assert plan.step_is_parallel("ratio", 0)
+        with np.errstate(invalid="ignore"):
+            v = validate_parallel_semantics(
+                program, plan, "ratio", lambda: [8], sizes={"n": 8})
+        assert ("ratio", 0) in v.shuffled_steps
+        assert v.max_abs_error == float("inf")
+        assert not v.ok
+

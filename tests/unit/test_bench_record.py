@@ -100,7 +100,7 @@ class TestRecorder:
         env = doc["environment"]
         assert env["cpu_count"] >= 1
         assert "i5-2400" in env["machines"]
-        assert env["guard_mode"] is False
+        assert "guard_mode" not in env     # ``executor`` names the guard
         assert env["fault_plan_active"] is False
 
     def test_hung_git_probe_degrades_the_fingerprint(self, monkeypatch):
@@ -315,12 +315,11 @@ class TestRunTimed:
 
 
 class TestEnvironmentFingerprint:
-    def test_guard_mode_is_reflected(self):
+    def test_guarded_executor_is_reflected(self):
         from repro.runconfig import run_config
 
-        with run_config(guard=True):
-            assert environment_fingerprint()["guard_mode"] is True
-        assert environment_fingerprint()["guard_mode"] is False
+        with run_config(executor="guarded"):
+            assert environment_fingerprint()["executor"] == "guarded"
 
     def test_fault_plan_is_reflected(self):
         from repro.robust import FaultPlan

@@ -202,7 +202,7 @@ class TestRobustnessCli:
     def test_profile_guarded_fault_shows_injection_and_fallback(
             self, project_file, capsys):
         assert main([
-            "profile", project_file, "--guarded",
+            "profile", project_file, "--executor", "guarded",
             "--fault", "analysis.parallelize.verdict:misparallelize:adjust2",
         ]) == 0
         out = capsys.readouterr().out
@@ -231,20 +231,12 @@ class TestRobustnessCli:
         assert "Traceback" not in err
 
     def test_guard_mode_resets_after_experiments(self, capsys):
-        from repro.glafexec import guard_mode
+        from repro.glafexec import executor_mode
 
-        assert main(["experiments", "C1", "--guarded"]) == 0
-        assert not guard_mode()
+        before = executor_mode()
+        assert main(["experiments", "C1", "--executor", "guarded"]) == 0
+        assert executor_mode() == before
         capsys.readouterr()
-
-    def test_guarded_and_executor_are_exclusive(self, capsys):
-        # The guard runs the interpreter itself, so it would silently
-        # drop the executor choice.
-        with pytest.raises(SystemExit) as ei:
-            main(["experiments", "C1", "--guarded",
-                  "--executor", "vectorized"])
-        assert ei.value.code == 2
-        assert "not allowed with argument" in capsys.readouterr().err
 
 
 class TestProfileFlag:

@@ -8,7 +8,7 @@ without its documentation, and a removed API cannot linger in it:
 * every public package under ``src/repro/`` is mentioned in
   ``docs/ARCHITECTURE.md``;
 * no doc, example, script or source file names a mode toggle that
-  :func:`repro.runconfig.run_config` replaced.
+  :func:`repro.runconfig.run_config` or the ``guarded`` executor replaced.
 """
 
 import re
@@ -64,11 +64,15 @@ class TestReadmeCoversCli:
 
 
 #: The per-setting mode setters and scoping wrappers that
-#: ``repro.runconfig.run_config`` replaced.
+#: ``repro.runconfig.run_config`` replaced, and the second guard switch
+#: (``--guarded`` / ``guard_mode``) and whole-run vectorized cross-check
+#: that the ``guarded`` executor replaced.
 DELETED_TOGGLES = re.compile(
     r"\b(?:set_tracer|set_metrics|set_decisions|set_executor_mode|"
-    r"set_guard_mode|set_sentinel_config|using_executor|fault_injection)\b"
-    r"|\b(?:guarded|sentinels)\(")
+    r"set_guard_mode|set_sentinel_config|using_executor|fault_injection|"
+    r"guard_mode|GuardedRunner|guarded_vectorized_run|"
+    r"VectorizedGuardResult)\b"
+    r"|\b(?:guarded|sentinels)\(|(?<![\w-])--guarded\b")
 
 
 class TestNoDeletedToggles:
@@ -82,7 +86,8 @@ class TestNoDeletedToggles:
                 if DELETED_TOGGLES.search(line)]
         assert not hits, (
             "these name a deleted mode toggle; use "
-            "repro.runconfig.run_config(...) instead:\n" + "\n".join(hits))
+            "repro.runconfig.run_config(...) or the guarded executor "
+            "instead:\n" + "\n".join(hits))
 
     def test_architecture_documents_the_run_configuration(self):
         arch = (REPO / "docs" / "ARCHITECTURE.md").read_text()

@@ -22,11 +22,12 @@ from repro.fortranlib.lexer import Token
 from repro.fortranlib.parser import parse_source
 from repro.glafexec import (
     ExecutionContext,
-    GuardedRunner,
-    guard_mode,
+    GuardedExecutor,
+    executor_mode,
     get_executor,
     guarded_python_run,
 )
+from repro.glafexec.guard import GUARD_TOLERANCE, GUARD_VARIANT
 from repro.optimize import make_plan
 from repro.robust import (
     SITES,
@@ -181,13 +182,19 @@ class TestFaultPlan:
         assert entries[0].function == "f"
 
 
+def _guarded(program, **kw):
+    return get_executor("guarded", **kw).run(program, "work", [N],
+                                             sizes={"n": N})
+
+
 # ----------------------------------------------------------------------
-# GuardedRunner
+# the divergence guard (the ``guarded`` executor)
 # ----------------------------------------------------------------------
 class TestGuardedRunner:
     def test_clean_run_is_bit_identical_and_quiet(self):
-        run = GuardedRunner(_program()).run("work", [N], sizes={"n": N})
-        assert not run.fell_back and not run.events and not run.demoted
+        run = _guarded(_program())
+        assert run.executor == "guarded"
+        assert not run.events and not run.demoted
         assert np.array_equal(run.context.get("v"), _reference())
 
     def test_misparallelized_step_is_demoted_and_result_correct(self):
@@ -195,20 +202,20 @@ class TestGuardedRunner:
                                     "misparallelize",
                                     match={"function": "work"})])
         with run_config(faults=plan):
-            run = GuardedRunner(_program()).run("work", [N], sizes={"n": N})
+            run = _guarded(_program())
         assert plan.fired, "fault must actually fire"
-        assert run.fell_back
+        assert run.events
         assert ("work", 1) in run.demoted           # the carried 'scan' step
         assert "divergence" in run.events[0].reason
-        assert run.events[0].max_abs_error > run.events[0].tolerance
+        assert run.events[0].max_abs_error > GUARD_TOLERANCE
         assert np.array_equal(run.context.get("v"), _reference())
 
     def test_probe_execution_error_demotes_and_recovers(self):
         plan = FaultPlan([FaultSpec("exec.interp.step", "raise",
                                     match={"parallel": True})])
         with run_config(faults=plan):
-            run = GuardedRunner(_program()).run("work", [N], sizes={"n": N})
-        assert run.fell_back and ("work", 0) in run.demoted
+            run = _guarded(_program())
+        assert run.events and ("work", 0) in run.demoted
         assert "ExecutionError" in run.events[0].reason
         assert np.array_equal(run.context.get("v"), _reference())
 
@@ -216,7 +223,7 @@ class TestGuardedRunner:
         plan = FaultPlan([FaultSpec("exec.interp.step", "raise",
                                     match={"parallel": True})])
         with observe.observed() as obs, run_config(faults=plan):
-            GuardedRunner(_program()).run("work", [N], sizes={"n": N})
+            _guarded(_program())
         guard = obs.decisions.for_stage("guard")
         assert len(guard) == 1 and guard[0].verdict == "serial-fallback"
         assert obs.metrics.snapshot()["counters"]["guard.serial_fallbacks"] == 1
@@ -226,26 +233,28 @@ class TestGuardedRunner:
         plan = FaultPlan([FaultSpec("exec.interp.step", "raise",
                                     match={"parallel": True})])
         with run_config(faults=plan):
-            run = GuardedRunner(program).run("work", [N], sizes={"n": N})
-        demoted = run.demoted_plan()
+            run = _guarded(program)
+        assert run.demoted
+        guarded_plan = make_plan(program, GUARD_VARIANT)
+        demoted = guarded_plan.with_force_serial(run.demoted)
         for key in run.demoted:
-            assert run.plan.step_is_parallel(*key)
+            assert guarded_plan.step_is_parallel(*key)
             assert not demoted.step_is_parallel(*key)
 
     def test_resource_limit_error_is_never_recovered(self):
-        runner = GuardedRunner(
-            _program(), limits=ResourceLimits(max_loop_iterations=10))
         with pytest.raises(ResourceLimitError, match="iteration budget"):
-            runner.run("work", [N], sizes={"n": N})
+            _guarded(_program(),
+                     limits=ResourceLimits(max_loop_iterations=10))
 
     def test_guard_mode_context_manager(self):
-        assert not guard_mode()
-        with run_config(guard=True):
-            assert guard_mode()
-            with run_config(guard=False):
-                assert not guard_mode()
-            assert guard_mode()
-        assert not guard_mode()
+        # The run configuration is the one way to ask for a guarded run.
+        before = executor_mode()
+        with run_config(executor="guarded"):
+            assert isinstance(get_executor(), GuardedExecutor)
+            with run_config(executor="interpreter"):
+                assert not isinstance(get_executor(), GuardedExecutor)
+            assert executor_mode() == "guarded"
+        assert executor_mode() == before
 
 
 # ----------------------------------------------------------------------
@@ -274,6 +283,7 @@ class TestGuardedPythonRun:
                                compare=["v"])
         guard = obs.decisions.for_stage("guard")
         assert guard and guard[0].verdict == "serial-fallback"
+        assert obs.metrics.snapshot()["counters"]["guard.serial_fallbacks"] == 1
 
     def test_uncompilable_module_surfaces_as_codegen_error(self, monkeypatch):
         from repro.glafexec import runner as runner_mod

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.robust import FaultPlan
 from repro.runconfig import RunConfig, current, run_config
 
 #: The only ``global`` statements allowed under ``src/repro``: forkserver
@@ -19,23 +20,24 @@ ALLOWED_GLOBALS = {
 
 
 class TestRunConfig:
-    def test_fields_are_the_seven_settings(self):
+    def test_fields_are_the_six_settings(self):
         assert [f.name for f in dataclasses.fields(RunConfig)] == [
-            "tracer", "metrics", "decisions", "executor", "guard",
-            "faults", "sentinels"]
+            "tracer", "metrics", "decisions", "executor", "faults",
+            "sentinels"]
 
     def test_is_immutable(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            current().guard = True
+            current().executor = "guarded"
 
     def test_nesting_innermost_wins_and_restores(self):
         before = current()
-        with run_config(guard=True) as outer:
-            assert current() is outer and outer.guard
-            with run_config(executor="guarded") as inner:
-                assert inner.guard and inner.executor == "guarded"
-                with run_config(guard=False):
-                    assert not current().guard
+        with run_config(executor="guarded") as outer:
+            assert current() is outer and outer.executor == "guarded"
+            with run_config(faults=FaultPlan()) as inner:
+                assert inner.faults is not None
+                assert inner.executor == "guarded"
+                with run_config(executor="vectorized"):
+                    assert current().executor == "vectorized"
                 assert current() is inner
             assert current() is outer
         assert current() is before
@@ -43,7 +45,7 @@ class TestRunConfig:
     def test_restores_after_an_exception(self):
         before = current()
         with pytest.raises(RuntimeError):
-            with run_config(guard=True):
+            with run_config(executor="guarded"):
                 raise RuntimeError("boom")
         assert current() is before
 
@@ -51,11 +53,11 @@ class TestRunConfig:
 class TestThreads:
     def test_new_thread_starts_from_the_default(self):
         seen = []
-        with run_config(guard=True):
-            t = threading.Thread(target=lambda: seen.append(current().guard))
+        with run_config(faults=FaultPlan()):
+            t = threading.Thread(target=lambda: seen.append(current().faults))
             t.start()
             t.join()
-        assert seen == [False]
+        assert seen == [None]
 
 class TestNoModeGlobals:
     def test_only_allowed_global_statements(self):

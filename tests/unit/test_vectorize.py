@@ -27,7 +27,6 @@ from repro.glafexec import (
     compile_step,
     executor_mode,
     get_executor,
-    guarded_vectorized_run,
     liftability_report,
 )
 from repro.runconfig import _initial_executor, run_config
@@ -437,8 +436,8 @@ class TestFallback:
 
 class TestGuardedExecutor:
     def _program(self):
-        # The guard compares the *global* state of the two contexts, so
-        # the kernel must write a module-scope grid, not just a param.
+        # A parallel map, then a carried scan that only a (faulty)
+        # analysis would mark parallel.
         b = GlafBuilder("g")
         b.global_grid("out", T_REAL8, dims=("n",), module_scope=True)
         m = b.module("M")
@@ -448,29 +447,38 @@ class TestGuardedExecutor:
         s = f.step("pw")
         s.foreach(i=(1, "n"))
         s.formula(ref("out", I("i")), ref("x", I("i")) * 2.0)
+        s = f.step("scan")
+        s.foreach(i=(2, "n"))
+        s.formula(ref("out", I("i")),
+                  ref("out", I("i") - 1) + ref("out", I("i")))
         return b.build()
 
     def test_agreement_keeps_interpreter_result(self):
         p = self._program()
         run = get_executor("guarded").run(p, "f", [4, np.ones(4)],
                                           sizes={"n": 4})
-        assert run.guard is not None
-        assert not run.guard.fell_back
+        assert run.executor == "guarded"
+        assert not run.events and not run.demoted
         assert np.array_equal(run.context.get("out"),
-                              [2.0, 2.0, 2.0, 2.0])
+                              [2.0, 4.0, 6.0, 8.0])
 
     def test_forced_divergence_falls_back_and_logs(self):
         from repro import observe
+        from repro.robust import FaultPlan, FaultSpec
 
         p = self._program()
-        ctx = ExecutionContext(p, sizes={"n": 4})
-        with observe.observed() as obs:
-            res = guarded_vectorized_run(
-                p, "f", [4, np.ones(4)], context=ctx,
-                tolerance=-1.0)     # nothing can agree at tolerance < 0
-        assert res.fell_back
-        assert res.context is ctx                       # interpreter's
-        assert np.array_equal(ctx.get("out"), [2.0, 2.0, 2.0, 2.0])
+        ctx = ExecutionContext(p, sizes={"n": 16})
+        plan = FaultPlan([FaultSpec("analysis.parallelize.verdict",
+                                    "misparallelize",
+                                    match={"function": "f"})])
+        with observe.observed() as obs, run_config(faults=plan):
+            run = get_executor("guarded").run(p, "f", [16, np.ones(16)],
+                                              context=ctx)
+        assert plan.fired
+        assert run.context is ctx                       # the caller's
+        assert run.demoted == {("f", 1)}
+        assert "divergence" in run.events[0].reason
+        assert np.array_equal(ctx.get("out"), 2.0 * np.arange(1, 17))
         guard = obs.decisions.for_stage("guard")
-        assert any(d.step_name == "vectorized-executor" and
-                   d.verdict == "serial-fallback" for d in guard)
+        assert [(d.step_name, d.verdict) for d in guard] == [
+            ("scan", "serial-fallback")]
