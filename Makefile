@@ -43,6 +43,7 @@ batch:
 # What .github/workflows/ci.yml runs: compile check, full suite (once on
 # the reference interpreter, once with REPRO_EXECUTOR=vectorized so the
 # array executor serves every interpreter-mode run — docs/EXECUTORS.md),
+# the benchmark's own arithmetic tests (perfbench/test_stats.py),
 # lint gate, fault sweep (includes the numeric.sentinel scenario), the
 # C1/C2 side-by-side experiments under the divergence guard
 # (docs/EXECUTORS.md), the fixed-seed differential fuzz campaign (docs/FUZZING.md), the
@@ -50,7 +51,7 @@ batch:
 # resume-integrity smoke (kill a bench recording *and* a batch
 # campaign, resume both, verify digests — docs/NUMERICS.md,
 # docs/BATCH.md), the run-ledger selftest (append, stale-index
-# reconciliation, quarantine, every exporter — docs/RUN_LEDGER.md),
+# reconciliation, quarantine, Chrome export — docs/RUN_LEDGER.md),
 # and the benchmark regression gates against the committed baseline
 # (interpreter and vectorized legs; the recorded artifacts carry the
 # X1 executor-speedup and X2 warm-cache gates).
@@ -58,6 +59,7 @@ ci: lint batch
 	$(PYTHON) -m compileall -q src
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	REPRO_EXECUTOR=vectorized PYTHONPATH=src $(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest perfbench -q
 	PYTHONPATH=src $(PYTHON) -m repro runs selftest
 	PYTHONPATH=src $(PYTHON) -m repro faultcheck
 	PYTHONPATH=src $(PYTHON) -m repro experiments C1 C2 --executor guarded

@@ -39,17 +39,15 @@
   continues a killed campaign from its checkpoints, ``--fault
   SITE:KIND[:FUNCTION]`` injects seeded faults into every item.  Exits 1
   when any failure signature was found.
-* ``runs list|show|diff|trend|gc|export|html|selftest`` — the persistent
+* ``runs list|show|diff|trend|gc|export|selftest`` — the persistent
   run ledger (``docs/RUN_LEDGER.md``): every ledgered invocation appends
   one digest-stamped ``repro.run/v1`` record to ``.repro/runs/``;
   ``list`` tabulates them, ``show [RUN]`` prints one (default: latest),
   ``diff OLD NEW`` compares wall/stages/counters/environment, ``trend``
   renders the wall-time trajectory per command, ``gc --keep N`` prunes
-  old records, ``export [RUN] --prometheus|--chrome [--out FILE]``
-  renders one record as a Prometheus text-exposition page or a
-  Chrome/Perfetto trace, ``html [--out FILE]`` writes the self-contained
-  static dashboard, and ``selftest`` smoke-tests the whole ledger round
-  trip in a scratch directory (used by ``make ci``).
+  old records, ``export [RUN] [--out FILE]`` renders one record as a
+  Chrome/Perfetto trace, and ``selftest`` smoke-tests the whole ledger
+  round trip in a scratch directory (used by ``make ci``).
 * ``bench record|compare|trend`` — the longitudinal benchmark layer
   (``docs/BENCHMARKING.md``): ``record`` runs the experiments N times and
   writes the next schema-versioned ``BENCH_<n>.json`` artifact (atomic
@@ -438,27 +436,17 @@ def build_parser() -> argparse.ArgumentParser:
     rgc = _runs_sub("gc", "prune old run records (and the quarantine)")
     rgc.add_argument("--keep", type=int, default=20,
                      help="newest records to keep (default 20; 0 drops all)")
-    rexp = _runs_sub("export", "render one run record for external tools")
+    rexp = _runs_sub("export", "write one run record as a Chrome/Perfetto "
+                               "trace (spans + counters + decision "
+                               "instants)")
     rexp.add_argument("run", nargs="?", default=None,
                       help="run id to export (default: latest)")
-    fmt = rexp.add_mutually_exclusive_group(required=True)
-    fmt.add_argument("--prometheus", action="store_true",
-                     help="Prometheus text exposition of the metrics "
-                          "snapshot")
-    fmt.add_argument("--chrome", action="store_true",
-                     help="Chrome/Perfetto trace-event JSON (spans + "
-                          "counters + decision instants)")
     rexp.add_argument("--out", metavar="FILE", default=None,
                       help="write to FILE instead of stdout")
-    rhtml = _runs_sub("html", "write the self-contained HTML dashboard")
-    rhtml.add_argument("--out", metavar="FILE", default="runs.html",
-                       help="output path (default: runs.html)")
-    rhtml.add_argument("--last", type=int, default=None, metavar="N",
-                       help="only the newest N runs (default: all)")
     rsub.add_parser(
         "selftest",
         help="smoke-test the ledger round trip (append, reconcile, "
-             "quarantine, every exporter) in a scratch directory")
+             "quarantine, Chrome export, gc) in a scratch directory")
     return p
 
 
@@ -919,49 +907,23 @@ def _cmd_runs(args) -> int:
         print(f"removed {len(removed)} run record(s), kept "
               f"{len(ledger.entries())} in {ledger.dir}")
         return 0
-    if args.runs_command == "export":
-        record = ledger.resolve(args.run)
-        if args.prometheus:
-            text = observe.to_prometheus(
-                record.get("metrics", {}),
-                labels={"run": record["id"],
-                        "command": record.get("command", "?")})
-            observe.parse_prometheus(text)   # what we emit must parse
-            if args.out:
-                from .numeric import atomic_write_text
-
-                atomic_write_text(args.out, text)
-                print(f"prometheus exposition written to {args.out}",
-                      file=sys.stderr)
-            else:
-                sys.stdout.write(text)
-        else:
-            doc = observe.record_to_chrome(record)
-            if args.out:
-                _write_json(args.out, doc)
-                print(f"chrome trace written to {args.out} (open in "
-                      f"chrome://tracing or https://ui.perfetto.dev)",
-                      file=sys.stderr)
-            else:
-                json.dump(doc, sys.stdout, indent=2)
-                print()
-        return 0
-    # html
-    entries = ledger.entries()
-    if args.last:
-        entries = entries[-args.last:]
-    records = [ledger.load(e["id"]) for e in entries]
-    from .numeric import atomic_write_text
-
-    atomic_write_text(args.out, observe.render_runs_html(records))
-    print(f"dashboard with {len(records)} run(s) written to {args.out}")
+    # export
+    doc = observe.record_to_chrome(ledger.resolve(args.run))
+    if args.out:
+        _write_json(args.out, doc)
+        print(f"chrome trace written to {args.out} (open in "
+              f"chrome://tracing or https://ui.perfetto.dev)",
+              file=sys.stderr)
+    else:
+        json.dump(doc, sys.stdout, indent=2)
+        print()
     return 0
 
 
 def _runs_selftest() -> int:
     """End-to-end ledger smoke test in a scratch directory: append three
     observed runs, reconcile a stale index, quarantine a corrupt record,
-    and push every exporter through its own validator."""
+    export the Chrome trace, and gc."""
     import tempfile
     from pathlib import Path
 
@@ -969,7 +931,7 @@ def _runs_selftest() -> int:
     from .errors import GlafError
 
     def check(name: str, ok: bool) -> None:
-        print(f"  {name:<28s} {'ok' if ok else 'FAIL'}")
+        print(f"  {name:<30s} {'ok' if ok else 'FAIL'}")
         if not ok:
             raise GlafError(f"runs selftest: {name} failed")
 
@@ -1003,18 +965,10 @@ def _runs_selftest() -> int:
               len(ledger.entries()) == 3
               and (ledger.quarantine_dir / bad.name).exists())
 
-        record = ledger.resolve("latest")
-        page = observe.to_prometheus(record["metrics"],
-                                     labels={"run": record["id"]})
-        check("prometheus parses",
-              "repro_selftest_items_total" in observe.parse_prometheus(page))
-        doc = observe.record_to_chrome(record)
+        doc = observe.record_to_chrome(ledger.resolve("latest"))
         phases = {e["ph"] for e in doc["traceEvents"]}
         check("chrome spans+counters+instants",
               {"X", "C", "i"} <= phases)
-        html = observe.render_runs_html(
-            [ledger.load(e["id"]) for e in ledger.entries()])
-        check("html dashboard", "<svg" in html and "run-000003" in html)
         check("gc keeps newest", ledger.gc(1) == ["run-000001", "run-000002"]
               and ledger.latest_id() == "run-000003")
     print("runs selftest: ok")

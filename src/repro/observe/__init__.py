@@ -33,9 +33,8 @@ On top of the in-process trio sit the durable pieces (PR 8):
 
 * :mod:`repro.observe.ledger` — the persistent ``.repro/runs/`` run
   ledger (``repro.run/v1`` records, atomic index, quarantine);
-* :mod:`repro.observe.export` — Prometheus text exposition, the
-  Chrome/Perfetto trace synthesized from a record, and the static HTML
-  dashboard behind ``repro runs``;
+* :mod:`repro.observe.export` — the Chrome/Perfetto trace synthesized
+  from a record and the text views behind ``repro runs``;
 * :mod:`repro.observe.sample` — the opt-in background
   :class:`ResourceSampler` (RSS / CPU / GC time series).
 """
@@ -100,11 +99,10 @@ __all__ = [
     "BENCH_SCHEMA", "RepeatStats", "summarize_repeats", "stage_seconds",
     # session
     "Observation", "observed", "observing", "is_observing",
-    # run ledger + exporters + sampling
+    # run ledger + renderers + sampling
     "RUN_SCHEMA", "INDEX_SCHEMA", "DEFAULT_LEDGER_DIR", "LEDGER_ENV",
     "RunLedger", "build_record", "ledger_dir_from_env",
-    "to_prometheus", "parse_prometheus", "record_to_chrome",
-    "render_runs_html", "render_runs_table", "render_run", "diff_runs",
+    "record_to_chrome", "render_runs_table", "render_run", "diff_runs",
     "render_runs_trend",
     "ResourceSampler", "read_rss_bytes",
 ]
@@ -121,9 +119,9 @@ class Observation:
     def to_json(self, **meta: object) -> dict[str, object]:
         return trace_to_json(self.tracer, self.metrics, self.decisions, **meta)
 
-    def to_chrome_trace(self, *, samples=None, **meta: object) -> dict[str, object]:
+    def to_chrome_trace(self, **meta: object) -> dict[str, object]:
         return to_chrome_trace(self.tracer, self.metrics, self.decisions,
-                               samples=samples, **meta)
+                               **meta)
 
     def report(self, title: str = "pipeline profile") -> str:
         return render_report(self.tracer, self.metrics, self.decisions,
@@ -171,13 +169,10 @@ def observing(clock=None) -> Iterator[Observation]:
 # Durable layer last: ledger/export/sample import the modules above.
 from .export import (  # noqa: E402
     diff_runs,
-    parse_prometheus,
     record_to_chrome,
     render_run,
-    render_runs_html,
     render_runs_table,
     render_runs_trend,
-    to_prometheus,
 )
 from .ledger import (  # noqa: E402
     DEFAULT_LEDGER_DIR,

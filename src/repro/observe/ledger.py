@@ -21,8 +21,9 @@ appends one digest-stamped record to a directory ledger:
   filesystem, hand-editing) is never ingested: it is moved to
   ``quarantine/`` and dropped from the index.
 
-``repro runs list|show|diff|trend|gc|export|html|selftest`` is the CLI
-over the ledger; :mod:`repro.observe.export` renders the exporters.
+``repro runs list|show|diff|trend|gc|export|selftest`` is the CLI over
+the ledger; :mod:`repro.observe.export` renders the text views and the
+Chrome/Perfetto export.
 The whole machinery is documented in ``docs/RUN_LEDGER.md``.
 """
 
@@ -37,7 +38,7 @@ from pathlib import Path
 
 from ..errors import RunLedgerError
 from ..numeric.integrity import atomic_write_json, content_digest
-from .report import aggregate_children, stage_totals
+from .report import aggregate_children, decision_docs, stage_totals
 
 __all__ = [
     "RUN_SCHEMA",
@@ -99,7 +100,8 @@ def _default_environment() -> dict[str, object]:
 
 def _flame_tree(spans) -> list[dict[str, object]]:
     """Recursive name-aggregated view of the span tree — compact enough
-    to persist per run, rich enough for the dashboard's flame summaries."""
+    to persist per run, rich enough to re-lay the spans of the Chrome
+    export."""
     out = []
     for a in aggregate_children(list(spans)):
         out.append({
@@ -144,15 +146,10 @@ def build_record(
         stages = stage_totals(observation.tracer)
         flame = _flame_tree(observation.tracer.roots)
         metrics = observation.metrics.snapshot()
-        # Decision stamps are absolute perf_counter values; the persisted
-        # record carries seconds since the tracer epoch so the Chrome
-        # exporter can place instants without knowing the live clock.
-        epoch = getattr(observation.tracer, "epoch", 0.0)
-        for d in observation.decisions.events:
-            doc = d.to_dict()
-            doc["t"] = round(max(0.0, doc.get("t", 0.0) - epoch), 6) \
-                if doc.get("t") else 0.0
-            decisions.append(doc)
+        # Seconds since the tracer epoch, so the Chrome export can place
+        # instants without knowing the live clock.
+        decisions = decision_docs(observation.decisions,
+                                  getattr(observation.tracer, "epoch", 0.0))
     return {
         "schema": RUN_SCHEMA,
         "command": command,

@@ -31,6 +31,8 @@ __all__ = [
     "render_metrics",
     "render_decisions",
     "trace_to_json",
+    "decision_docs",
+    "chrome_track_events",
     "to_chrome_trace",
     "render_report",
 ]
@@ -223,12 +225,76 @@ def _chrome_arg(value: object) -> object:
     return str(value)
 
 
+def decision_docs(decisions: DecisionLog | NullDecisionLog,
+                  epoch: float) -> list[dict[str, object]]:
+    """The decision events as dicts whose ``t`` is seconds since the
+    tracer ``epoch`` (the live stamps are absolute ``perf_counter``
+    values) — the form the run ledger persists and
+    :func:`chrome_track_events` places."""
+    docs = []
+    for d in decisions.events:
+        doc = d.to_dict()
+        doc["t"] = round(max(0.0, d.t - epoch), 6) if d.t else 0.0
+        docs.append(doc)
+    return docs
+
+
+def chrome_track_events(
+    snapshot: dict,
+    decisions: list[dict],
+    samples: list[dict],
+    end_us: float,
+) -> list[dict[str, object]]:
+    """The non-span Chrome events shared by the live and the persisted
+    trace: counter/gauge tracks, resource-sample tracks, and decision
+    instants.
+
+    Every counter becomes a phase-``"C"`` track with a zero point at the
+    epoch and its final value at ``end_us``; every gauge its last-written
+    value at ``end_us``.  Each ``samples`` tick (the
+    :class:`repro.observe.sample.ResourceSampler` series, ``t`` in
+    seconds since the epoch) becomes per-tick ``sample.rss_mb`` /
+    ``sample.cpu_s`` / ``sample.gc_gen0`` points.  Each decision (see
+    :func:`decision_docs`) becomes a global instant (``"ph": "i"``)
+    categorized by its stage.
+    """
+    events: list[dict[str, object]] = []
+    end = round(end_us, 3)
+    for name, value in snapshot.get("counters", {}).items():
+        # Two points per counter: the zero at the epoch gives the UI a
+        # track to draw even for a single-valued counter.
+        events.append({"name": name, "cat": "metric", "ph": "C",
+                       "ts": 0.0, "pid": 0, "args": {"value": 0}})
+        events.append({"name": name, "cat": "metric", "ph": "C",
+                       "ts": end, "pid": 0, "args": {"value": value}})
+    for name, value in snapshot.get("gauges", {}).items():
+        events.append({"name": name, "cat": "metric", "ph": "C",
+                       "ts": end, "pid": 0, "args": {"value": value}})
+    for tick in samples:
+        ts = round(max(0.0, float(tick.get("t", 0.0))) * 1e6, 3)
+        for key in ("rss_mb", "cpu_s", "gc_gen0"):
+            if key in tick:
+                events.append({"name": f"sample.{key}", "cat": "sample",
+                               "ph": "C", "ts": ts, "pid": 0,
+                               "args": {"value": tick[key]}})
+    for d in decisions:
+        stage = str(d.get("stage", "?"))
+        events.append({
+            "name": f"{stage}:{d.get('verdict', '?')}", "cat": stage,
+            "ph": "i", "s": "g",
+            "ts": round(max(0.0, float(d.get("t", 0.0))) * 1e6, 3),
+            "pid": 0, "tid": 0,
+            "args": {"function": d.get("function", ""),
+                     "step": d.get("step_name", ""),
+                     "reasons": str(list(d.get("reasons", [])))},
+        })
+    return events
+
+
 def to_chrome_trace(
     tracer: Tracer | NullTracer,
     metrics: MetricsRegistry | NullMetricsRegistry | None = None,
     decisions: DecisionLog | NullDecisionLog | None = None,
-    *,
-    samples: list[dict] | None = None,
     **meta: object,
 ) -> dict[str, object]:
     """Export the recorded spans in Chrome trace-event format.
@@ -240,16 +306,11 @@ def to_chrome_trace(
     event category, so the UI can filter by stage.  Threads are mapped to
     stable integer ``tid``\\ s with metadata events carrying the real names.
 
-    With a ``metrics`` registry, every counter and gauge becomes a
-    Perfetto counter track: phase-``"C"`` events (a zero point at the
-    epoch and the final value at the end of the trace for counters, the
-    last-written value for gauges).  With a ``decisions`` log, every
-    decision becomes an instant event (``"ph": "i"``) at the moment it
-    was recorded, categorized by stage.  ``samples`` — the
-    :class:`repro.observe.sample.ResourceSampler` time series, dicts with
-    a ``t`` key in seconds relative to the epoch — become per-tick
-    counter events (``sample.rss_mb``, ``sample.cpu_s``,
-    ``sample.gc_gen0``).
+    With a ``metrics`` registry, counters and gauges become Perfetto
+    counter tracks; with a ``decisions`` log, every decision becomes an
+    instant event at the moment it was recorded
+    (:func:`chrome_track_events`).  Resource-sample tracks come from a
+    persisted record (:func:`repro.observe.export.record_to_chrome`).
     """
     epoch = getattr(tracer, "epoch", 0.0)
     tids: dict[str, int] = {}
@@ -287,39 +348,10 @@ def to_chrome_trace(
     for root in tracer.roots:
         emit(root)
 
-    if metrics is not None:
-        snap = metrics.snapshot()
-        for name, value in snap["counters"].items():
-            # Two points per counter: the zero at the epoch gives the UI
-            # a track to draw even for a single-valued counter.
-            events.append({"name": name, "cat": "metric", "ph": "C",
-                           "ts": 0.0, "pid": 0, "args": {"value": 0}})
-            events.append({"name": name, "cat": "metric", "ph": "C",
-                           "ts": round(end, 3), "pid": 0,
-                           "args": {"value": value}})
-        for name, value in snap["gauges"].items():
-            events.append({"name": name, "cat": "metric", "ph": "C",
-                           "ts": round(end, 3), "pid": 0,
-                           "args": {"value": value}})
-    if decisions is not None:
-        for d in decisions.events:
-            ts = max(0.0, (d.t - epoch) * 1e6) if d.t else 0.0
-            events.append({
-                "name": f"{d.stage}:{d.verdict}", "cat": d.stage,
-                "ph": "i", "s": "g", "ts": round(ts, 3), "pid": 0,
-                "tid": 0,
-                "args": {"function": d.function, "step": d.step_name,
-                         "reasons": _chrome_arg(list(d.reasons))},
-            })
-    for tick in samples or ():
-        ts = round(max(0.0, float(tick.get("t", 0.0))) * 1e6, 3)
-        for key, track in (("rss_mb", "sample.rss_mb"),
-                           ("cpu_s", "sample.cpu_s"),
-                           ("gc_gen0", "sample.gc_gen0")):
-            if key in tick:
-                events.append({"name": track, "cat": "sample", "ph": "C",
-                               "ts": ts, "pid": 0,
-                               "args": {"value": tick[key]}})
+    events += chrome_track_events(
+        metrics.snapshot() if metrics is not None else {},
+        decision_docs(decisions, epoch) if decisions is not None else [],
+        [], end)
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",

@@ -613,40 +613,27 @@ class TestRunLedgerCli:
         assert "removed 2 run record(s)" in out
         assert [e["id"] for e in self._entries(ledger)] == ["run-000003"]
 
-    def test_runs_export_prometheus_parses(self, tmp_path, capsys):
-        ledger = tmp_path / "runs"
-        assert main(["experiments", "T2", "--ledger", str(ledger)]) == 0
-        capsys.readouterr()
-        assert main(["runs", "export", "--prometheus",
-                     "--dir", str(ledger)]) == 0
-        page = capsys.readouterr().out
-        families = observe.parse_prometheus(page)
-        assert any(name.startswith("repro_") for name in families)
-
     def test_runs_export_chrome_file(self, tmp_path, capsys):
         ledger = tmp_path / "runs"
         assert main(["experiments", "T2", "--ledger", str(ledger)]) == 0
         out_file = tmp_path / "trace.json"
-        assert main(["runs", "export", "--chrome", "--out", str(out_file),
+        assert main(["runs", "export", "--out", str(out_file),
                      "--dir", str(ledger)]) == 0
         capsys.readouterr()
         doc = json.loads(out_file.read_text())
         phases = {e["ph"] for e in doc["traceEvents"]}
         assert {"X", "C"} <= phases
 
-    def test_runs_html_renders_three_run_trajectory(self, tmp_path, capsys):
-        ledger = tmp_path / "runs"
-        for _ in range(3):
-            assert main(["experiments", "T2",
-                         "--ledger", str(ledger)]) == 0
-        out_file = tmp_path / "dash.html"
-        assert main(["runs", "html", "--out", str(out_file),
-                     "--dir", str(ledger)]) == 0
+    @pytest.mark.parametrize("argv", [
+        ["runs", "export", "--prometheus"],
+        ["runs", "export", "--chrome"],
+        ["runs", "html"],
+    ])
+    def test_retired_exporters_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
         capsys.readouterr()
-        html = out_file.read_text()
-        assert "<svg" in html and "polyline" in html
-        for rid in ("run-000001", "run-000002", "run-000003"):
-            assert rid in html
 
     def test_runs_on_empty_ledger(self, tmp_path, capsys):
         assert main(["runs", "list", "--dir", str(tmp_path / "none")]) == 0

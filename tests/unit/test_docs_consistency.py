@@ -8,7 +8,8 @@ without its documentation, and a removed API cannot linger in it:
 * every public package under ``src/repro/`` is mentioned in
   ``docs/ARCHITECTURE.md``;
 * no doc, example, script or source file names a mode toggle that
-  :func:`repro.runconfig.run_config` or the ``guarded`` executor replaced.
+  :func:`repro.runconfig.run_config` or the ``guarded`` executor replaced,
+  or a retired exporter (Prometheus, the HTML dashboard).
 """
 
 import re
@@ -64,15 +65,18 @@ class TestReadmeCoversCli:
 
 
 #: The per-setting mode setters and scoping wrappers that
-#: ``repro.runconfig.run_config`` replaced, and the second guard switch
+#: ``repro.runconfig.run_config`` replaced, the second guard switch
 #: (``--guarded`` / ``guard_mode``) and whole-run vectorized cross-check
-#: that the ``guarded`` executor replaced.
+#: that the ``guarded`` executor replaced, and the Prometheus and HTML
+#: exporters that ``repro runs export``'s one Chrome trace replaced.
 DELETED_TOGGLES = re.compile(
     r"\b(?:set_tracer|set_metrics|set_decisions|set_executor_mode|"
     r"set_guard_mode|set_sentinel_config|using_executor|fault_injection|"
     r"guard_mode|GuardedRunner|guarded_vectorized_run|"
-    r"VectorizedGuardResult)\b"
-    r"|\b(?:guarded|sentinels)\(|(?<![\w-])--guarded\b")
+    r"VectorizedGuardResult|to_prometheus|parse_prometheus|"
+    r"render_runs_html)\b"
+    r"|\b(?:guarded|sentinels)\(|(?<![\w-])--(?:guarded|prometheus)\b"
+    r"|\bruns html\b")
 
 
 class TestNoDeletedToggles:
@@ -85,9 +89,9 @@ class TestNoDeletedToggles:
                 for n, line in enumerate(p.read_text().splitlines(), 1)
                 if DELETED_TOGGLES.search(line)]
         assert not hits, (
-            "these name a deleted mode toggle; use "
-            "repro.runconfig.run_config(...) or the guarded executor "
-            "instead:\n" + "\n".join(hits))
+            "these name a deleted mode toggle or exporter; use "
+            "repro.runconfig.run_config(...), the guarded executor, or "
+            "`repro runs export` instead:\n" + "\n".join(hits))
 
     def test_architecture_documents_the_run_configuration(self):
         arch = (REPO / "docs" / "ARCHITECTURE.md").read_text()
@@ -450,7 +454,7 @@ class TestRunLedgerDoc:
     def test_names_the_controls_and_exporters(self):
         doc = (REPO / "docs" / "RUN_LEDGER.md").read_text()
         for flag in ("--ledger", "--no-ledger", "--sample",
-                     "--prometheus", "--chrome", "--keep"):
+                     "--chrome", "--keep"):
             assert flag in doc, f"RUN_LEDGER.md does not show {flag}"
         assert "`run:record`" in doc or "run:record" in doc
         assert "sample:resource" in doc

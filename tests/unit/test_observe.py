@@ -523,10 +523,12 @@ class TestChromeTrace:
         with observe.observed() as obs:
             with obs.tracer.span("exec.run"):
                 pass
-        doc = obs.to_chrome_trace(samples=[
-            {"t": 0.0, "rss_mb": 10.0, "cpu_s": 0.1, "gc_gen0": 3},
-            {"t": 0.05, "rss_mb": 12.0, "cpu_s": 0.2, "gc_gen0": 5},
-        ])
+        # Sample tracks come from the persisted record, not the live trace.
+        doc = observe.record_to_chrome(observe.build_record(
+            command="profile", observation=obs, environment={}, samples=[
+                {"t": 0.0, "rss_mb": 10.0, "cpu_s": 0.1, "gc_gen0": 3},
+                {"t": 0.05, "rss_mb": 12.0, "cpu_s": 0.2, "gc_gen0": 5},
+            ]))
         rss = [e for e in doc["traceEvents"]
                if e["ph"] == "C" and e["name"] == "sample.rss_mb"]
         assert [e["args"]["value"] for e in rss] == [10.0, 12.0]

@@ -1,9 +1,10 @@
-"""Telemetry exporters over run records (repro.observe.export).
+"""The run-ledger renderers over run records (repro.observe.export).
 
-The Prometheus page must parse under the exposition grammar, the Chrome
-export must carry spans + counter tracks + decision instants, and the
-HTML dashboard must render a multi-run trajectory self-contained — no
-external scripts, stylesheets, or fonts (docs/RUN_LEDGER.md).
+The Chrome export of a record must carry spans + counter tracks +
+decision instants, and its non-span events must match the live
+``repro profile --chrome`` trace of the same observation, because both
+come from one writer; the ``repro runs`` text views must name stages,
+counters and every family of decision event (docs/RUN_LEDGER.md).
 """
 
 from __future__ import annotations
@@ -37,51 +38,6 @@ def _run_record(i: int = 0, command: str = "experiments"):
                      "platform": "linux", "executor": "interpreter"})
 
 
-class TestPrometheus:
-    def test_exposition_parses_under_the_grammar(self):
-        rec = _run_record()
-        page = observe.to_prometheus(rec["metrics"],
-                                     labels={"run": "run-000001"})
-        families = observe.parse_prometheus(page)
-        assert families["repro_exec_interp_calls_total"] == [
-            ({"run": "run-000001"}, 10.0)]
-        assert families["repro_exec_step_ms_count"][0][1] == 3.0
-        assert families["repro_exec_step_ms_sum"][0][1] == pytest.approx(6.0)
-        assert families["repro_exec_step_ms_min"][0][1] == 1.0
-        assert families["repro_exec_step_ms_max"][0][1] == 3.0
-        assert families["repro_sample_rss_mb"][0][1] == 40.0
-
-    def test_every_family_has_help_and_type(self):
-        page = observe.to_prometheus(_run_record()["metrics"])
-        names = [line.split()[2] for line in page.splitlines()
-                 if line.startswith("# TYPE")]
-        assert "repro_exec_interp_calls_total" in names
-        for line in page.splitlines():
-            if line.startswith("#"):
-                assert line.split()[1] in ("HELP", "TYPE")
-
-    def test_dotted_names_are_sanitized(self):
-        page = observe.to_prometheus(
-            {"counters": {"a.b-c/d": 1}, "gauges": {}, "histograms": {}})
-        assert "repro_a_b_c_d_total 1" in page
-        observe.parse_prometheus(page)
-
-    def test_label_values_are_escaped(self):
-        page = observe.to_prometheus(
-            {"counters": {"c": 1}, "gauges": {}, "histograms": {}},
-            labels={"cmd": 'say "hi"\nthere'})
-        parsed = observe.parse_prometheus(page)
-        assert parsed["repro_c_total"][0][0]["cmd"]     # parses cleanly
-
-    def test_parser_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            observe.parse_prometheus("not a metric line at all!")
-        with pytest.raises(ValueError):
-            observe.parse_prometheus("# TYPE repro_x sideways\nrepro_x 1")
-        with pytest.raises(ValueError):
-            observe.parse_prometheus("repro_x one_point_five")
-
-
 class TestRecordToChrome:
     def test_spans_counters_and_instants(self):
         doc = observe.record_to_chrome(_run_record())
@@ -106,47 +62,39 @@ class TestRecordToChrome:
         assert (child["ts"] + child["dur"]
                 <= parent["ts"] + parent["dur"] + 1e-6)
 
+    def test_track_events_match_the_live_trace(self):
+        with observe.observed() as obs:
+            with obs.tracer.span("exec.run"):
+                obs.metrics.counter("exec.interp.calls").inc(7)
+                obs.metrics.gauge("sample.rss_mb").set(42.5)
+                obs.decisions.record("guard", "adjust2", 1, "sweep",
+                                     "fallback", reasons=["diverged"])
+        live = obs.to_chrome_trace()
+        end_us = max(e["ts"] + e["dur"] for e in live["traceEvents"]
+                     if e["ph"] == "X")
+        samples = [{"t": 0.0, "rss_mb": 10.0, "cpu_s": 0.1, "gc_gen0": 3}]
+        stored = observe.record_to_chrome(observe.build_record(
+            command="profile", wall_s=end_us / 1e6, observation=obs,
+            samples=samples, environment={}))
 
-class TestHtmlDashboard:
-    def _records(self, n=3):
-        recs = []
-        for i in range(n):
-            rec = dict(_run_record(i))
-            rec["id"] = f"run-{i + 1:06d}"
-            recs.append(rec)
-        return recs
+        def tracks(doc):
+            return sorted((e for e in doc["traceEvents"]
+                           if e["ph"] in ("C", "i")
+                           and e.get("cat") != "sample"),
+                          key=lambda e: (e["ph"], e["name"], e["ts"]))
 
-    def test_renders_multi_run_trajectory(self):
-        html = observe.render_runs_html(self._records(3))
-        assert "<svg" in html and "polyline" in html
-        for rid in ("run-000001", "run-000002", "run-000003"):
-            assert rid in html
-        # Stage series from the flame summaries, with a legend.
-        assert "analysis" in html
-        assert 'class="legend"' in html
-
-    def test_is_fully_self_contained(self):
-        html = observe.render_runs_html(self._records(3))
-        assert "<script" not in html
-        assert "<link" not in html
-        assert "http://" not in html and "https://" not in html
-        assert "@media (prefers-color-scheme: dark)" in html
-
-    def test_has_a_table_view_of_every_run(self):
-        html = observe.render_runs_html(self._records(4))
-        assert html.count("<tr><td>run-") >= 8   # events table + runs table
-
-    def test_escapes_hostile_record_fields(self):
-        rec = dict(_run_record())
-        rec["id"] = "run-000001"
-        rec["command"] = "<script>alert(1)</script>"
-        html = observe.render_runs_html([rec])
-        assert "<script>alert" not in html
-        assert "&lt;script&gt;" in html
-
-    def test_empty_ledger_still_renders(self):
-        html = observe.render_runs_html([])
-        assert "0 recorded run(s)" in html
+        live_tracks, stored_tracks = tracks(live), tracks(stored)
+        assert {e["ph"] for e in live_tracks} == {"C", "i"}
+        assert len(live_tracks) == len(stored_tracks)
+        for a, b in zip(live_tracks, stored_tracks):
+            assert ((a["name"], a["cat"], a["ph"], a["args"])
+                    == (b["name"], b["cat"], b["ph"], b["args"]))
+            assert a["ts"] == pytest.approx(b["ts"], abs=1.0)
+        # Sample tracks come only from the persisted record.
+        assert not [e for e in live["traceEvents"] if e.get("cat") == "sample"]
+        assert [e["name"] for e in stored["traceEvents"]
+                if e.get("cat") == "sample"] == [
+            "sample.rss_mb", "sample.cpu_s", "sample.gc_gen0"]
 
 
 class TestTextRenderers:
@@ -169,6 +117,18 @@ class TestTextRenderers:
         assert "exec.interp.calls" in text
         assert "guard" in text
         assert "resource samples: 2 tick(s)" in text
+
+    def test_show_counts_every_decision_stage_family(self):
+        rec = dict(_run_record())
+        rec["decisions"] = [
+            {"stage": "batch:quarantine", "verdict": "quarantined"},
+            {"stage": "cache:corrupt-entry", "verdict": "evicted"},
+            {"stage": "guard", "verdict": "fallback"},
+        ]
+        events = observe.render_run(rec).split("-- events --")[1]
+        counts = dict(line.split() for line in events.splitlines()
+                      if line.strip() and not line.startswith("--"))
+        assert counts == {"batch:*": "1", "cache:*": "1", "guard": "1"}
 
     def test_diff_reports_wall_stage_counter_env_changes(self):
         a, b = _run_record(0), _run_record(4)
